@@ -5,12 +5,14 @@
 // must be byte-identical to the serial path.
 //
 // For each backend (forkjoin, steal) and worker count (1, 2, 4, 8, 16)
-// the full suite is re-analyzed from a cold PlanCache on both machines
-// (profile + optimize under every policy + five simulated runs per
-// benchmark, fanned out by evaluate_suite), and every OptimizationReport
-// is serialized into a per-pass fingerprint. Steal and prefetch-hint
-// counters are reported per pass (observability only — they vary with
-// scheduling; the artifacts never do).
+// the full suite is re-analyzed from a cold PlanCache per machine, fanned
+// out by evaluate_suite: per benchmark one profile replay, five simulated
+// runs (the Baseline run also gives Δ), and the three optimizes solved
+// from that profile and that run. The pass then re-solves each benchmark
+// with engine::run_optimize, which samples and simulates its own Baseline
+// again, and serializes every report into a per-pass fingerprint. Steal
+// and prefetch-hint counters are reported per pass (observability only —
+// they vary with scheduling; the artifacts never do).
 //
 // Gates (exit 1 on violation):
 //   * 0-diff: every fingerprint — both backends, every worker count —

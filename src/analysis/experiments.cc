@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "analysis/metrics.hh"
+#include "engine/pipeline.hh"
 
 namespace re::analysis {
 
@@ -20,6 +21,40 @@ const char* policy_name(Policy policy) {
 PlanCache::PlanCache(core::OptimizerOptions options)
     : options_(std::move(options)) {}
 
+template <typename T, typename Compute>
+const T& PlanCache::memoize(Memo<T>& memo, const std::string& key,
+                            Compute compute) {
+  Entry<T>* entry;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_ptr<Entry<T>>& slot = memo[key];
+    if (slot == nullptr) slot = std::make_unique<Entry<T>>();
+    entry = slot.get();
+  }
+  // The expensive work runs outside the map lock: distinct keys proceed in
+  // parallel, the same key computes once.
+  std::call_once(entry->once, [&] { entry->value = compute(); });
+  return entry->value;
+}
+
+const core::Profile& PlanCache::profile(const std::string& benchmark) {
+  return memoize(profiles_, benchmark, [&] {
+    return core::profile_program(
+        workloads::make_benchmark(benchmark, workloads::InputSet::Reference),
+        options_.sampler, options_.profile_max_refs);
+  });
+}
+
+const sim::RunResult& PlanCache::baseline(const sim::MachineConfig& machine,
+                                          const std::string& benchmark) {
+  return memoize(baselines_, machine.name + "/" + benchmark, [&] {
+    return sim::run_single(
+        machine,
+        workloads::make_benchmark(benchmark, workloads::InputSet::Reference),
+        /*hw_prefetch=*/false);
+  });
+}
+
 const core::OptimizationReport& PlanCache::report(
     const sim::MachineConfig& machine, const std::string& benchmark,
     Policy policy) {
@@ -31,29 +66,26 @@ const core::OptimizationReport& PlanCache::report(
     default:
       throw std::invalid_argument("no optimization report for this policy");
   }
-  const std::string key = machine.name + "/" + benchmark + "/" + variant;
-
-  Entry* entry;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::unique_ptr<Entry>& slot = reports_[key];
-    if (slot == nullptr) slot = std::make_unique<Entry>();
-    entry = slot.get();
-  }
-  // The expensive profile+optimize runs outside the map lock: distinct
-  // benchmarks/variants proceed in parallel, the same key computes once.
-  std::call_once(entry->once, [&] {
+  return memoize(reports_, machine.name + "/" + benchmark + "/" + variant,
+                 [&] {
     const workloads::Program reference =
         workloads::make_benchmark(benchmark, workloads::InputSet::Reference);
-    core::OptimizerOptions opts = options_;
+    engine::OptimizeArtifacts a;
+    a.program = &reference;
+    a.machine = &machine;
+    a.options = options_;
+    a.profile_bound = true;
+    a.report.profile = profile(benchmark);
+    a.baseline = &baseline(machine, benchmark);
+    a.report.benchmark = reference.name;
     if (policy == Policy::StrideCentric) {
-      entry->report = core::stride_centric_optimize(reference, machine, opts);
+      engine::run_graph(engine::stride_centric_graph(), a, {});
     } else {
-      opts.enable_non_temporal = (policy == Policy::SoftwareNT);
-      entry->report = core::optimize_program(reference, machine, opts);
+      a.options.enable_non_temporal = (policy == Policy::SoftwareNT);
+      engine::run_graph(engine::optimize_graph(), a, {});
     }
+    return std::move(a.report);
   });
-  return entry->report;
 }
 
 workloads::Program PlanCache::prepare(const sim::MachineConfig& machine,
@@ -97,6 +129,11 @@ BenchmarkEvaluation evaluate_benchmark(const sim::MachineConfig& machine,
   for (Policy policy :
        {Policy::Baseline, Policy::Hardware, Policy::Software,
         Policy::SoftwareNT, Policy::StrideCentric}) {
+    if (policy == Policy::Baseline &&
+        input == workloads::InputSet::Reference) {
+      eval.runs.emplace(policy, cache.baseline(machine, benchmark));
+      continue;
+    }
     const workloads::Program program =
         cache.prepare(machine, benchmark, input, policy);
     const bool hw = policy == Policy::Hardware;

@@ -21,6 +21,7 @@
 #include "core/statstack.hh"
 #include "core/stride_analysis.hh"
 #include "sim/config.hh"
+#include "sim/system.hh"
 #include "workloads/program.hh"
 
 namespace re::core {
@@ -63,9 +64,13 @@ struct OptimizationReport {
   DegradationLog degradation;
 };
 
-/// Measure Δ: baseline cycles per memory operation from a single-core run
-/// with all prefetching off (the paper measures this per benchmark with
-/// performance counters).
+/// Δ from a Baseline run: cycles per memory operation of its first app
+/// (1.0 for a run with no references). The paper reads it off the
+/// performance counters of the one native run it also samples.
+double cycles_per_memop(const sim::RunResult& run);
+
+/// Measure Δ: cycles_per_memop of a fresh single-core run of `program`
+/// with all prefetching off.
 double measure_cycles_per_memop(const workloads::Program& program,
                                 const sim::MachineConfig& machine);
 

@@ -73,14 +73,17 @@ Stage<OptimizeArtifacts> validate_stage() {
 Stage<OptimizeArtifacts> delta_stage() {
   return {
       "delta",
-      "options.{assumed,measured}_cycles_per_memop | baseline sim",
+      "options.{assumed,measured}_cycles_per_memop | baseline | baseline sim",
       "report.cycles_per_memop, delta_source",
       nullptr,
       [](OptimizeArtifacts& a, const EngineContext&) {
         const DeltaEstimate delta = resolve_delta(
             a.options.assumed_cycles_per_memop,
             a.options.measured_cycles_per_memop, [&a] {
-              return core::measure_cycles_per_memop(*a.program, *a.machine);
+              return a.baseline != nullptr
+                         ? core::cycles_per_memop(*a.baseline)
+                         : core::measure_cycles_per_memop(*a.program,
+                                                          *a.machine);
             });
         a.report.cycles_per_memop = delta.cycles_per_memop;
         a.delta_source = delta.source;

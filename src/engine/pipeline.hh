@@ -39,9 +39,13 @@ struct OptimizeArtifacts {
   const workloads::Program* program = nullptr;
   const sim::MachineConfig* machine = nullptr;
   core::OptimizerOptions options;
-  /// True when the caller supplied `report.profile` directly (replayed or
-  /// fault-injected profiles); the `sample` stage is skipped.
+  /// True when the caller supplied `report.profile` directly (replayed,
+  /// fault-injected or memoized profiles); the `sample` stage is skipped.
   bool profile_bound = false;
+  /// The program's Baseline run on `machine` (single core, no prefetching),
+  /// when the caller already has it: the `delta` stage reads the
+  /// baseline-sim Δ from it instead of simulating the program again.
+  const sim::RunResult* baseline = nullptr;
 
   // -- produced artifacts
   /// `validate`: false means the profile was unusable; downstream analysis

@@ -295,10 +295,14 @@ void run_parallel(const SchedulerConfig& config, std::size_t n,
   // not) cannot leak state.
   const int caller_mark = t_worker_index;
 
+  // Both backends' shared state outlives the join below: the calling
+  // thread can run out of units while pool threads are still inside theirs,
+  // and those threads claim again when they return.
+  StealState s;
+  std::atomic<std::size_t> next{0};
   std::vector<std::thread> pool;
   pool.reserve(workers - 1);
   if (config.backend == SchedulerBackend::kSteal) {
-    StealState s;
     s.claims = std::make_unique<std::atomic<std::uint64_t>[]>(n);
     for (std::size_t i = 0; i < n; ++i) {
       s.claims[i].store(0, std::memory_order_relaxed);
@@ -310,7 +314,6 @@ void run_parallel(const SchedulerConfig& config, std::size_t n,
     }
     steal_worker(d, s, workers, 0, config.seed);
   } else {
-    std::atomic<std::size_t> next{0};
     for (std::size_t w = 1; w < workers; ++w) {
       pool.emplace_back(
           [&, w] { forkjoin_worker(d, next, static_cast<int>(w)); });

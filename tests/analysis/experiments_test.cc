@@ -2,8 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "engine/pipeline.hh"
+
 namespace re::analysis {
 namespace {
+
+/// Every field of a run, so whole runs compare with a readable diff.
+std::string render_run(const sim::RunResult& run) {
+  std::ostringstream out;
+  out << "elapsed=" << run.elapsed_cycles << " freq=" << run.freq_ghz
+      << " dram=" << run.dram.demand_lines << '/'
+      << run.dram.sw_prefetch_lines << '/' << run.dram.hw_prefetch_lines
+      << '/' << run.dram.writeback_lines << '\n';
+  for (const sim::AppResult& app : run.apps) {
+    const sim::CoreMemStats& m = app.mem;
+    out << app.name << " cycles=" << app.cycles << " refs=" << app.references
+        << " loads=" << m.loads << " stores=" << m.stores
+        << " hits=" << m.l1_hits << '/' << m.l2_hits << '/' << m.llc_hits
+        << " dram_loads=" << m.dram_loads << " sw=" << m.sw_prefetches_issued
+        << '/' << m.sw_prefetches_dropped << '/' << m.sw_prefetch_dram_lines
+        << " hw_lines=" << m.hw_prefetch_dram_lines
+        << " late=" << m.late_prefetch_hits
+        << " useless=" << m.useless_sw_evictions << '/'
+        << m.useless_hw_evictions << " stall=" << m.memory_stall_cycles
+        << '\n';
+  }
+  return out.str();
+}
 
 TEST(PolicyName, AllPoliciesNamed) {
   EXPECT_STREQ(policy_name(Policy::Baseline), "Baseline");
@@ -73,6 +101,102 @@ TEST(PlanCache, PrepareAppliesBaseOffset) {
   std::visit([&](const auto& p) { moved_addr = p.base; },
              moved.loops[0].body[0].pattern);
   EXPECT_EQ(moved_addr, base_addr + (1ULL << 40));
+}
+
+// -- the memo against the standalone pipeline ------------------------------
+//
+// A cached report is solved from the shared profile and the memoized
+// Baseline run; the standalone entry points sample and simulate afresh.
+// The standalone path is the oracle: the two must agree byte for byte.
+
+TEST(PlanCacheOracle, ReportsMatchTheStandalonePipeline) {
+  PlanCache cache;
+  core::OptimizerOptions software;
+  software.enable_non_temporal = false;
+  for (const sim::MachineConfig& machine :
+       {sim::amd_phenom_ii(), sim::intel_sandybridge()}) {
+    for (const std::string& name : workloads::suite_names()) {
+      const workloads::Program program =
+          workloads::make_benchmark(name, workloads::InputSet::Reference);
+      EXPECT_EQ(engine::serialize_report(
+                    cache.report(machine, name, Policy::Software)),
+                engine::serialize_report(
+                    core::optimize_program(program, machine, software)))
+          << machine.name << "/" << name << "/sw";
+      EXPECT_EQ(engine::serialize_report(
+                    cache.report(machine, name, Policy::SoftwareNT)),
+                engine::serialize_report(
+                    core::optimize_program(program, machine)))
+          << machine.name << "/" << name << "/nt";
+      EXPECT_EQ(engine::serialize_report(
+                    cache.report(machine, name, Policy::StrideCentric)),
+                engine::serialize_report(
+                    core::stride_centric_optimize(program, machine)))
+          << machine.name << "/" << name << "/sc";
+    }
+  }
+}
+
+TEST(PlanCacheOracle, AssumedDeltaStillWins) {
+  core::OptimizerOptions options;
+  options.assumed_cycles_per_memop = 2.5;
+  PlanCache cache(options);
+  const sim::MachineConfig machine = sim::amd_phenom_ii();
+  const workloads::Program program = workloads::make_benchmark("libquantum");
+  const core::OptimizationReport& report =
+      cache.report(machine, "libquantum", Policy::SoftwareNT);
+  EXPECT_DOUBLE_EQ(report.cycles_per_memop, 2.5);
+  EXPECT_NE(report.cycles_per_memop,
+            core::cycles_per_memop(cache.baseline(machine, "libquantum")));
+  EXPECT_EQ(engine::serialize_report(report),
+            engine::serialize_report(
+                core::optimize_program(program, machine, options)));
+}
+
+TEST(PlanCacheOracle, OneProfilePerBenchmarkServesBothMachines) {
+  PlanCache cache;
+  const workloads::Program program = workloads::make_benchmark("libquantum");
+  const core::Profile& shared = cache.profile("libquantum");
+  const core::Profile fresh = core::profile_program(program, {});
+  EXPECT_EQ(shared.total_references, fresh.total_references);
+  EXPECT_EQ(shared.reuse_samples.size(), fresh.reuse_samples.size());
+  EXPECT_EQ(shared.stride_samples.size(), fresh.stride_samples.size());
+  for (const sim::MachineConfig& machine :
+       {sim::amd_phenom_ii(), sim::intel_sandybridge()}) {
+    EXPECT_EQ(engine::serialize_report(
+                  cache.report(machine, "libquantum", Policy::SoftwareNT)),
+              engine::serialize_report(
+                  core::optimize_with_profile(program, shared, machine)))
+        << machine.name;
+    EXPECT_EQ(&cache.profile("libquantum"), &shared) << machine.name;
+  }
+}
+
+TEST(EvaluateBenchmark, BaselineRunIsTheMemoizedReferenceRun) {
+  PlanCache cache;
+  for (const sim::MachineConfig& machine :
+       {sim::amd_phenom_ii(), sim::intel_sandybridge()}) {
+    const BenchmarkEvaluation eval =
+        evaluate_benchmark(machine, "mcf", cache);
+    const std::string fresh = render_run(sim::run_single(
+        machine, workloads::make_benchmark("mcf"), /*hw_prefetch=*/false));
+    EXPECT_EQ(render_run(eval.runs.at(Policy::Baseline)), fresh)
+        << machine.name;
+    EXPECT_EQ(render_run(cache.baseline(machine, "mcf")), fresh)
+        << machine.name;
+  }
+}
+
+TEST(EvaluateBenchmark, AlternateInputSimulatesTheAlternateProgram) {
+  PlanCache cache;
+  const sim::MachineConfig machine = sim::amd_phenom_ii();
+  const BenchmarkEvaluation eval = evaluate_benchmark(
+      machine, "mcf", cache, workloads::InputSet::Alternate);
+  const std::string alternate = render_run(sim::run_single(
+      machine, workloads::make_benchmark("mcf", workloads::InputSet::Alternate),
+      /*hw_prefetch=*/false));
+  EXPECT_EQ(render_run(eval.runs.at(Policy::Baseline)), alternate);
+  EXPECT_NE(render_run(cache.baseline(machine, "mcf")), alternate);
 }
 
 TEST(EvaluateBenchmark, ProducesAllPolicies) {

@@ -14,6 +14,10 @@ TEST(Pipeline, MeasuresCyclesPerMemop) {
   const double delta = measure_cycles_per_memop(program, machine);
   EXPECT_GT(delta, 1.0);
   EXPECT_LT(delta, 50.0);
+  // The probe is the formula applied to the Baseline run.
+  EXPECT_EQ(delta, cycles_per_memop(sim::run_single(machine, program,
+                                                    /*hw_prefetch=*/false)));
+  EXPECT_EQ(cycles_per_memop(sim::RunResult{}), 1.0);
 }
 
 TEST(Pipeline, LibquantumGetsNonTemporalStreamPrefetches) {

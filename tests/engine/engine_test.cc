@@ -17,6 +17,7 @@
 #include "engine/executor.hh"
 #include "engine/options.hh"
 #include "engine/store.hh"
+#include "sim/system.hh"
 #include "testutil.hh"
 #include "workloads/suite.hh"
 
@@ -135,6 +136,32 @@ TEST(Delta, PrecedenceAssumedOverMeasuredOverBaselineSim) {
   EXPECT_EQ(sim.source, DeltaSource::kBaselineSim);
   EXPECT_DOUBLE_EQ(sim.cycles_per_memop, 7.0);
   EXPECT_EQ(baseline_calls, 1);
+}
+
+TEST(Delta, BoundBaselineRunReplacesTheBaselineSim) {
+  const workloads::Program program = workloads::make_benchmark("libquantum");
+  const sim::MachineConfig machine = sim::amd_phenom_ii();
+  // A doctored run: Δ = 3 exactly, which no simulation of this program gives.
+  sim::RunResult baseline = sim::run_single(machine, program, false);
+  baseline.apps[0].cycles = 3 * baseline.apps[0].references;
+
+  const auto solve = [&](double measured) {
+    OptimizeArtifacts a;
+    a.program = &program;
+    a.machine = &machine;
+    a.options.measured_cycles_per_memop = measured;
+    a.baseline = &baseline;
+    a.report.benchmark = program.name;
+    run_graph(optimize_graph(), a, {});
+    return a;
+  };
+  const OptimizeArtifacts bound = solve(0.0);
+  EXPECT_EQ(bound.delta_source, DeltaSource::kBaselineSim);
+  EXPECT_DOUBLE_EQ(bound.report.cycles_per_memop, 3.0);
+  // An online measurement still outranks the bound run.
+  const OptimizeArtifacts measured = solve(5.0);
+  EXPECT_EQ(measured.delta_source, DeltaSource::kMeasured);
+  EXPECT_DOUBLE_EQ(measured.report.cycles_per_memop, 5.0);
 }
 
 TEST(Delta, EwmaIgnoresEmptyWindowsAndTracksChanges) {
@@ -279,22 +306,30 @@ TEST(EngineStress, ConcurrentWindowedSolvesAreIndependent) {
 }
 
 TEST(EngineStress, PlanCacheComputesEachKeyOnceUnderContention) {
-  // Many threads hammer the shared PlanCache with overlapping keys; every
-  // returned reference must describe the same plans, and distinct keys must
-  // not serialize behind one another (call_once is per entry).
-  const sim::MachineConfig machine = sim::amd_phenom_ii();
+  // Many threads hammer one shared PlanCache with overlapping keys on both
+  // machines. Odd threads start on the other machine, so the two machines'
+  // reports of a benchmark race for its one shared profile entry, and a
+  // machine's three variants race for its Baseline entry. Every returned
+  // reference must serialize like a private serial cache's, and distinct
+  // keys must not serialize behind one another (call_once is per entry).
+  const std::vector<sim::MachineConfig> machines = {sim::amd_phenom_ii(),
+                                                    sim::intel_sandybridge()};
   analysis::PlanCache cache;
   const std::vector<std::string> names = workloads::suite_names();
   const std::vector<analysis::Policy> policies = {
       analysis::Policy::Software, analysis::Policy::SoftwareNT,
       analysis::Policy::StrideCentric};
 
-  // Expected plan counts from a private serial cache.
+  // expected[m][k]: machine m's report k (benchmark-major) from a private
+  // serial cache.
   analysis::PlanCache reference;
-  std::vector<std::size_t> expected;
-  for (const std::string& name : names) {
-    for (const analysis::Policy policy : policies) {
-      expected.push_back(reference.report(machine, name, policy).plans.size());
+  std::vector<std::vector<std::string>> expected(machines.size());
+  for (std::size_t m = 0; m < machines.size(); ++m) {
+    for (const std::string& name : names) {
+      for (const analysis::Policy policy : policies) {
+        expected[m].push_back(
+            serialize_report(reference.report(machines[m], name, policy)));
+      }
     }
   }
 
@@ -304,15 +339,18 @@ TEST(EngineStress, PlanCacheComputesEachKeyOnceUnderContention) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      std::size_t k = 0;
-      for (const std::string& name : names) {
-        for (const analysis::Policy policy : policies) {
-          const auto& report = cache.report(machine, name, policy);
-          if (report.plans.size() != expected[k]) {
-            mismatches[t] = name + ": wrong plan count";
-            return;
+      for (std::size_t i = 0; i < machines.size(); ++i) {
+        const std::size_t m = (i + static_cast<std::size_t>(t)) % 2;
+        std::size_t k = 0;
+        for (const std::string& name : names) {
+          for (const analysis::Policy policy : policies) {
+            const auto& report = cache.report(machines[m], name, policy);
+            if (serialize_report(report) != expected[m][k]) {
+              mismatches[t] = machines[m].name + "/" + name + " diverged";
+              return;
+            }
+            ++k;
           }
-          ++k;
         }
       }
     });

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/executor.hh"
@@ -173,6 +175,31 @@ TEST(StealScheduler, LowestIndexErrorOutranksCancelled) {
     FAIL() << "expected a rethrow";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "unit 9");
+  }
+}
+
+TEST(Scheduler, PoolThreadsClaimAfterTheCallerRunsDry) {
+  // The calling thread (worker 0) runs its units instantly while the pool
+  // threads sleep inside theirs, so it leaves its claim loop first; the pool
+  // threads then claim again. The backend's shared claim state must still
+  // be alive for them (ASan reports stack-use-after-scope otherwise).
+  for (const SchedulerBackend backend :
+       {SchedulerBackend::kForkJoin, SchedulerBackend::kSteal}) {
+    const Executor executor(4, kDefaultExecutorSeed, backend);
+    for (int round = 0; round < 4; ++round) {
+      std::vector<std::atomic<int>> visits(8);
+      executor.for_each(8, [&](std::size_t i) {
+        if (current_worker() != 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        ++visits[i];
+      });
+      for (std::size_t i = 0; i < visits.size(); ++i) {
+        ASSERT_EQ(visits[i].load(), 1)
+            << scheduler_backend_name(backend) << " unit " << i << " round "
+            << round;
+      }
+    }
   }
 }
 
