@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "analysis/corun.hh"
+#include "analysis/experiments.hh"
 #include "core/pipeline.hh"
 #include "engine/executor.hh"
 #include "verify/trace_fuzzer.hh"
@@ -32,6 +33,19 @@ void append_plan_body(std::ostringstream& out,
           << "\n";
     }
   }
+}
+
+std::string machine_slug(const std::string& machine_name) {
+  std::string slug;
+  for (char c : machine_name) {
+    if (std::isalnum(static_cast<unsigned char>(c))) {
+      slug.push_back(static_cast<char>(
+          std::tolower(static_cast<unsigned char>(c))));
+    } else if (!slug.empty() && slug.back() != '_') {
+      slug.push_back('_');
+    }
+  }
+  return slug;
 }
 
 std::vector<std::string> significant_lines(const std::string& text) {
@@ -82,16 +96,7 @@ std::string render_golden(const std::vector<GoldenEntry>& entries,
 }
 
 std::string golden_filename(const std::string& machine_name) {
-  std::string slug;
-  for (char c : machine_name) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      slug.push_back(static_cast<char>(
-          std::tolower(static_cast<unsigned char>(c))));
-    } else if (!slug.empty() && slug.back() != '_') {
-      slug.push_back('_');
-    }
-  }
-  return "plans_" + slug + ".golden";
+  return "plans_" + machine_slug(machine_name) + ".golden";
 }
 
 std::vector<GoldenEntry> compute_corun_suite_plans(
@@ -142,6 +147,59 @@ std::string render_corun_golden(const std::vector<GoldenEntry>& entries,
 
 std::string corun_golden_filename(const std::string& machine_name) {
   return "corun_" + golden_filename(machine_name);
+}
+
+std::string render_run(const sim::RunResult& run) {
+  std::ostringstream out;
+  out << "elapsed=" << run.elapsed_cycles << " freq=" << run.freq_ghz
+      << " dram=" << run.dram.demand_lines << '/'
+      << run.dram.sw_prefetch_lines << '/' << run.dram.hw_prefetch_lines
+      << '/' << run.dram.writeback_lines << '\n';
+  for (const sim::AppResult& app : run.apps) {
+    const sim::CoreMemStats& m = app.mem;
+    out << app.name << " cycles=" << app.cycles << " refs=" << app.references
+        << " loads=" << m.loads << " stores=" << m.stores
+        << " hits=" << m.l1_hits << '/' << m.l2_hits << '/' << m.llc_hits
+        << " dram_loads=" << m.dram_loads << " sw=" << m.sw_prefetches_issued
+        << '/' << m.sw_prefetches_dropped << '/' << m.sw_prefetch_dram_lines
+        << " hw_lines=" << m.hw_prefetch_dram_lines
+        << " late=" << m.late_prefetch_hits
+        << " useless=" << m.useless_sw_evictions << '/'
+        << m.useless_hw_evictions << " stall=" << m.memory_stall_cycles
+        << '\n';
+  }
+  return out.str();
+}
+
+std::string render_runs_golden(const sim::MachineConfig& machine,
+                               const engine::Executor* executor) {
+  analysis::PlanCache cache;
+  std::ostringstream out;
+  out << "# golden simulated runs | machine=" << machine.name
+      << " | format=1\n";
+  out << "# Regenerate after a reviewed simulator change:\n";
+  out << "#   tools/check.sh verify --bless\n";
+  out << "#   (or: repf verify --bless --golden tests/golden"
+         " [--machine intel])\n";
+  for (const analysis::BenchmarkEvaluation& eval : analysis::evaluate_suite(
+           machine, workloads::suite_names(), cache, executor)) {
+    for (const auto& [policy, run] : eval.runs) {
+      out << "run " << eval.name << " | " << analysis::policy_name(policy)
+          << "\n"
+          << render_run(run);
+    }
+  }
+  const workloads::MixSpec fig8_mix{{"cigar", "gcc", "lbm", "libquantum"}};
+  for (const auto& [policy, run] :
+       analysis::evaluate_mix(machine, fig8_mix, cache).runs) {
+    out << "mix | " << analysis::policy_name(policy) << "\n"
+        << render_run(run);
+  }
+  return out.str();
+}
+
+std::string runs_golden_filename(const std::string& machine_name) {
+  return "runs_" + machine_slug(machine_name) + ".golden";
 }
 
 std::string diff_golden(const std::string& expected,

@@ -11,6 +11,7 @@
 
 #include "core/insertion.hh"
 #include "sim/config.hh"
+#include "sim/system.hh"
 
 namespace re::engine {
 class Executor;
@@ -69,5 +70,27 @@ std::string render_corun_golden(const std::vector<GoldenEntry>& entries,
 
 /// Snapshot file name for a machine: "corun_plans_<machine>.golden".
 std::string corun_golden_filename(const std::string& machine_name);
+
+// ---- full-counter run golden ----------------------------------------------
+//
+// Every simulated counter behind Figs. 4-7: cycles, each CoreMemStats field
+// and each DramStats field, for the five policies on every suite benchmark
+// (Reference input) and for the Fig. 8 mix (cigar+gcc+lbm+libquantum) under
+// Baseline, Hardware and SoftwareNT. The plan snapshots pin what the
+// optimizer decides; this one pins what the timed simulator makes of it, so
+// a simulator change that moves any traffic or useless-prefetch counter
+// shows up as a readable diff.
+
+/// Every field of a run: one whole-run line, then one line per app.
+std::string render_run(const sim::RunResult& run);
+
+/// Simulate the run snapshot for `machine` and render it in the golden
+/// format. With an executor, benchmarks fan out over its workers; output is
+/// byte-identical to the serial path at any worker count.
+std::string render_runs_golden(const sim::MachineConfig& machine,
+                               const engine::Executor* executor = nullptr);
+
+/// Snapshot file name for a machine: "runs_<machine>.golden".
+std::string runs_golden_filename(const std::string& machine_name);
 
 }  // namespace re::verify

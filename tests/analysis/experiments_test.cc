@@ -2,36 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "engine/pipeline.hh"
+#include "verify/golden.hh"
 
 namespace re::analysis {
 namespace {
 
-/// Every field of a run, so whole runs compare with a readable diff.
-std::string render_run(const sim::RunResult& run) {
-  std::ostringstream out;
-  out << "elapsed=" << run.elapsed_cycles << " freq=" << run.freq_ghz
-      << " dram=" << run.dram.demand_lines << '/'
-      << run.dram.sw_prefetch_lines << '/' << run.dram.hw_prefetch_lines
-      << '/' << run.dram.writeback_lines << '\n';
-  for (const sim::AppResult& app : run.apps) {
-    const sim::CoreMemStats& m = app.mem;
-    out << app.name << " cycles=" << app.cycles << " refs=" << app.references
-        << " loads=" << m.loads << " stores=" << m.stores
-        << " hits=" << m.l1_hits << '/' << m.l2_hits << '/' << m.llc_hits
-        << " dram_loads=" << m.dram_loads << " sw=" << m.sw_prefetches_issued
-        << '/' << m.sw_prefetches_dropped << '/' << m.sw_prefetch_dram_lines
-        << " hw_lines=" << m.hw_prefetch_dram_lines
-        << " late=" << m.late_prefetch_hits
-        << " useless=" << m.useless_sw_evictions << '/'
-        << m.useless_hw_evictions << " stall=" << m.memory_stall_cycles
-        << '\n';
-  }
-  return out.str();
-}
+using verify::render_run;
 
 TEST(PolicyName, AllPoliciesNamed) {
   EXPECT_STREQ(policy_name(Policy::Baseline), "Baseline");

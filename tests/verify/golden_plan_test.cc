@@ -1,7 +1,8 @@
-// Golden-plan snapshot enforcement: the committed plans for the benchmark
-// suite must match what the pipeline produces today. A legitimate pipeline
-// change re-blesses via `tools/check.sh verify --bless`; anything else that
-// shifts a plan is a regression this test catches.
+// Golden snapshot enforcement: the committed plans for the benchmark suite,
+// and every counter of the simulated runs behind Figs. 4-7, must match what
+// the pipeline and the simulator produce today. A legitimate change
+// re-blesses via `tools/check.sh verify --bless`; anything else that shifts
+// a plan or a counter is a regression these tests catch.
 #include "verify/golden.hh"
 
 #include <gtest/gtest.h>
@@ -44,6 +45,25 @@ TEST(GoldenPlans, FilenameIsSlugged) {
   EXPECT_EQ(golden_filename("AMD Phenom II"), "plans_amd_phenom_ii.golden");
   EXPECT_EQ(golden_filename("Intel i7-2600K"),
             "plans_intel_i7_2600k.golden");
+  EXPECT_EQ(runs_golden_filename("Intel i7-2600K"),
+            "runs_intel_i7_2600k.golden");
+}
+
+void expect_runs_match_snapshot(const sim::MachineConfig& machine) {
+  const std::string file = runs_golden_filename(machine.name);
+  const std::string expected =
+      read_file(std::string(RE_SOURCE_DIR) + "/tests/golden/" + file);
+  EXPECT_EQ(diff_golden(expected, render_runs_golden(machine)), "")
+      << "simulated counters drifted from tests/golden/" << file
+      << " — if intentional, re-bless with tools/check.sh verify --bless";
+}
+
+TEST(GoldenRuns, AmdRunsMatchCommittedSnapshot) {
+  expect_runs_match_snapshot(sim::amd_phenom_ii());
+}
+
+TEST(GoldenRuns, IntelRunsMatchCommittedSnapshot) {
+  expect_runs_match_snapshot(sim::intel_sandybridge());
 }
 
 TEST(GoldenPlans, DiffIgnoresCommentsAndWhitespace) {

@@ -12,9 +12,10 @@
 #            (RE_BENCH_SMOKE=1, RE_MIX_COUNT=2); each must exit 0.
 #            Default build dir: build (reuses the tier-1 build).
 #   verify   run the differential-verification lane: `ctest -L verify`,
-#            then `repf verify` against the committed golden plans for both
-#            machines, run twice and compared byte-for-byte (determinism).
-#            `tools/check.sh verify --bless` re-blesses the goldens instead.
+#            then `repf verify` against the committed golden plans and
+#            golden runs for both machines, run twice and compared
+#            byte-for-byte (determinism). `tools/check.sh verify --bless`
+#            re-blesses both goldens instead.
 #            Default build dir: build.
 #   chaos    run the chaos-engineering lane under ASan+UBSan: `ctest -L
 #            chaos`, then a seeded `repf chaos --crash-check --jobs 2`

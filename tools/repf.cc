@@ -171,7 +171,8 @@ constexpr CommandInfo kCommands[] = {
      "                               never-hurts degradation invariant\n"},
     {"verify",
      "  verify                       differential oracle (StatStack vs\n"
-     "                               exact LRU) and golden-plan snapshots\n"},
+     "                               exact LRU) and golden plan and run\n"
+     "                               snapshots\n"},
     {"corun",
      "  corun                        co-run scenario matrix: composed\n"
      "                               shared-LLC model vs the exact\n"
@@ -385,9 +386,11 @@ const char* help_for(const std::string& command) {
            "                          (strided subline chase blocked\n"
            "                          phasemix hotcold; default all)\n"
            "    --golden DIR          also check the suite's prefetch plans\n"
-           "                          against DIR/plans_<machine>.golden\n"
-           "    --bless               rewrite the golden snapshot instead\n"
-           "                          of checking it\n"
+           "                          and simulated runs against\n"
+           "                          DIR/plans_<machine>.golden and\n"
+           "                          DIR/runs_<machine>.golden\n"
+           "    --bless               rewrite the golden snapshots instead\n"
+           "                          of checking them\n"
            "    --jobs N              fan traces and golden benchmarks out\n"
            "                          over N engine workers\n"
            "                          (byte-identical output at any N)\n"
@@ -1396,6 +1399,43 @@ int cmd_chaos(const Options& opts) {
   return 0;
 }
 
+/// Check `rendered` against the snapshot at `path`, or with `bless` rewrite
+/// the snapshot. Prints one "== <what>: ..." line and returns the status:
+/// "blessed", "match", "missing", "differs" or "unwritable"; the last three
+/// set `failed`.
+std::string check_golden(const char* what, const std::string& path,
+                         const std::string& rendered, bool bless,
+                         bool& failed) {
+  if (bless) {
+    std::ofstream out(path);
+    if (!out) {
+      std::fprintf(stderr, "repf: cannot write %s\n", path.c_str());
+      failed = true;
+      return "unwritable";
+    }
+    out << rendered;
+    std::printf("== %s: blessed %s\n", what, path.c_str());
+    return "blessed";
+  }
+  std::ifstream in(path);
+  if (!in) {
+    std::printf("== %s: %s missing (run with --bless)\n", what, path.c_str());
+    failed = true;
+    return "missing";
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::string diff = verify::diff_golden(text.str(), rendered);
+  if (diff.empty()) {
+    std::printf("== %s: %s matches\n", what, path.c_str());
+    return "match";
+  }
+  std::printf("== %s: %s DIFFERS (-golden/+current)\n%s", what, path.c_str(),
+              diff.c_str());
+  failed = true;
+  return "differs";
+}
+
 int cmd_verify(const Options& opts) {
   std::vector<verify::TraceFamily> families;
   if (opts.families.empty()) {
@@ -1494,43 +1534,21 @@ int cmd_verify(const Options& opts) {
   std::fputs(reports.c_str(), stdout);
 
   std::string golden_status = "skipped";
+  std::string run_golden_status = "skipped";
   if (!opts.golden_dir.empty()) {
-    const std::string path =
-        opts.golden_dir + "/" + verify::golden_filename(opts.machine.name);
-    const std::string rendered = verify::render_golden(
-        verify::compute_suite_plans(opts.machine, &executor),
-        opts.machine.name);
-    if (opts.bless) {
-      std::ofstream out(path);
-      if (!out) {
-        std::fprintf(stderr, "repf: cannot write %s\n", path.c_str());
-        return kExitFailure;
-      }
-      out << rendered;
-      std::printf("== golden plans: blessed %s\n", path.c_str());
-      golden_status = "blessed";
-    } else {
-      std::ifstream in(path);
-      if (!in) {
-        std::printf("== golden plans: %s missing (run with --bless)\n",
-                    path.c_str());
-        failed = true;
-        golden_status = "missing";
-      } else {
-        std::ostringstream text;
-        text << in.rdbuf();
-        const std::string diff = verify::diff_golden(text.str(), rendered);
-        if (diff.empty()) {
-          std::printf("== golden plans: %s matches\n", path.c_str());
-          golden_status = "match";
-        } else {
-          std::printf("== golden plans: %s DIFFERS (-golden/+current)\n%s",
-                      path.c_str(), diff.c_str());
-          failed = true;
-          golden_status = "differs";
-        }
-      }
-    }
+    golden_status = check_golden(
+        "golden plans",
+        opts.golden_dir + "/" + verify::golden_filename(opts.machine.name),
+        verify::render_golden(
+            verify::compute_suite_plans(opts.machine, &executor),
+            opts.machine.name),
+        opts.bless, failed);
+    run_golden_status = check_golden(
+        "golden runs",
+        opts.golden_dir + "/" +
+            verify::runs_golden_filename(opts.machine.name),
+        verify::render_runs_golden(opts.machine, &executor), opts.bless,
+        failed);
   }
 
   if (!opts.json_path.empty()) {
@@ -1556,6 +1574,8 @@ int cmd_verify(const Options& opts) {
     }
     json << "  ],\n"
          << "  \"golden\": \"" << json::escape(golden_status) << "\",\n"
+         << "  \"run_golden\": \"" << json::escape(run_golden_status)
+         << "\",\n"
          << "  \"ok\": " << (failed ? "false" : "true") << "\n"
          << "}\n";
     const int rc = write_json_report(opts.json_path, json.str());
@@ -1692,43 +1712,14 @@ int cmd_corun(const Options& opts) {
 
   std::string golden_status = "skipped";
   if (!opts.golden_dir.empty()) {
-    const std::string path = opts.golden_dir + "/" +
-                             verify::corun_golden_filename(opts.machine.name);
-    const std::string rendered = verify::render_corun_golden(
-        verify::compute_corun_suite_plans(opts.machine, &executor),
-        opts.machine.name);
-    if (opts.bless) {
-      std::ofstream out(path);
-      if (!out) {
-        std::fprintf(stderr, "repf: cannot write %s\n", path.c_str());
-        return kExitFailure;
-      }
-      out << rendered;
-      std::printf("== co-run golden plans: blessed %s\n", path.c_str());
-      golden_status = "blessed";
-    } else {
-      std::ifstream in(path);
-      if (!in) {
-        std::printf("== co-run golden plans: %s missing (run with --bless)\n",
-                    path.c_str());
-        failed = true;
-        golden_status = "missing";
-      } else {
-        std::ostringstream text;
-        text << in.rdbuf();
-        const std::string diff = verify::diff_golden(text.str(), rendered);
-        if (diff.empty()) {
-          std::printf("== co-run golden plans: %s matches\n", path.c_str());
-          golden_status = "match";
-        } else {
-          std::printf(
-              "== co-run golden plans: %s DIFFERS (-golden/+current)\n%s",
-              path.c_str(), diff.c_str());
-          failed = true;
-          golden_status = "differs";
-        }
-      }
-    }
+    golden_status = check_golden(
+        "co-run golden plans",
+        opts.golden_dir + "/" +
+            verify::corun_golden_filename(opts.machine.name),
+        verify::render_corun_golden(
+            verify::compute_corun_suite_plans(opts.machine, &executor),
+            opts.machine.name),
+        opts.bless, failed);
   }
 
   if (!opts.json_path.empty()) {
