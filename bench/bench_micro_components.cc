@@ -5,12 +5,16 @@
 // milliseconds at reproduction scale).
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "analysis/functional_sim.hh"
 #include "core/pipeline.hh"
 #include "core/sampler.hh"
 #include "core/statstack.hh"
 #include "sim/cache.hh"
+#include "sim/memory_system.hh"
 #include "sim/system.hh"
+#include "support/rng.hh"
 #include "workloads/cursor.hh"
 #include "workloads/suite.hh"
 
@@ -44,18 +48,67 @@ void BM_CacheAccessHit(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheAccessHit);
 
+struct NamedGeometry {
+  const char* name;
+  sim::CacheGeometry geometry;
+};
+
+/// The six Table II cache geometries (L1, L2, LLC of each machine).
+std::vector<NamedGeometry> table2_geometries() {
+  const sim::MachineConfig amd = sim::amd_phenom_ii();
+  const sim::MachineConfig intel = sim::intel_sandybridge();
+  return {{"amd_l1", amd.l1},     {"amd_l2", amd.l2},
+          {"amd_llc", amd.llc},   {"intel_l1", intel.l1},
+          {"intel_l2", intel.l2}, {"intel_llc", intel.llc}};
+}
+
+/// 64 Ki random lines from a 2^40-line universe. Cycling through them
+/// misses at every Table II level once the caches are warm: each set sees
+/// more distinct lines between two uses of a line than it has ways.
+std::vector<Addr> random_lines() {
+  Rng rng(42);
+  std::vector<Addr> lines(1 << 16);
+  for (Addr& line : lines) line = rng.next(Addr{1} << 40);
+  return lines;
+}
+
 void BM_CacheFillEvict(benchmark::State& state) {
-  sim::SetAssocCache cache(sim::CacheGeometry{1 << 20, 16});
-  Addr line = 0;
+  const NamedGeometry shape =
+      table2_geometries()[static_cast<std::size_t>(state.range(0))];
+  sim::SetAssocCache cache(shape.geometry);
+  const std::vector<Addr> lines = random_lines();
+  // One warm pass fills every way, so each timed fill evicts.
+  for (Addr line : lines) {
+    if (!cache.access(line, true)) cache.fill(line, sim::FillOrigin::Demand);
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
+    const Addr line = lines[i++ & (lines.size() - 1)];
     if (!cache.access(line, true)) {
       benchmark::DoNotOptimize(cache.fill(line, sim::FillOrigin::Demand));
     }
-    line += 1;  // pure streaming: every access is a fill+evict
   }
+  state.SetLabel(shape.name);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheFillEvict);
+BENCHMARK(BM_CacheFillEvict)->DenseRange(0, 5);
+
+/// The whole miss path of one reference: L1, L2 and LLC probes and fills
+/// plus the DRAM fetch (AMD hierarchy, one core, HW prefetcher off).
+void BM_DemandLoadMiss(benchmark::State& state) {
+  sim::MemorySystem memory(sim::amd_phenom_ii(), 1);
+  const std::vector<Addr> lines = random_lines();
+  Cycle now = 0;
+  for (Addr line : lines) now += memory.demand_load(0, 0, line * kLineSize, now);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Addr addr = lines[i++ & (lines.size() - 1)] * kLineSize;
+    now += memory.demand_load(0, 0, addr, now);
+  }
+  benchmark::DoNotOptimize(now);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DemandLoadMiss);
 
 void BM_SamplerObserve(benchmark::State& state) {
   core::Sampler sampler(core::SamplerConfig{

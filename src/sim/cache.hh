@@ -4,6 +4,13 @@
 // Tracks, per line, whether it was installed by a prefetch and whether it has
 // been touched by a demand access since — the basis of the useless-prefetch
 // accounting behind the paper's off-chip traffic results.
+//
+// Each set is held in contiguous arrays: tags, LRU stamps and one flag byte
+// per way. An empty way holds tag kEmptyTag and stamp 0; a resident line
+// holds the stamp of its last use, which is >= 1. The tag match and the
+// victim search scan the whole set without data-dependent branches, and the
+// first minimum stamp is the first empty way if there is one, else the
+// least recently used line.
 #pragma once
 
 #include <cstdint>
@@ -49,41 +56,31 @@ class SetAssocCache {
   /// a valid line was displaced.
   std::optional<Eviction> fill(Addr line, FillOrigin origin);
 
-  /// Remove a specific line if present.
-  void invalidate(Addr line);
-
-  /// Remove everything.
-  void flush();
-
   std::uint64_t num_sets() const { return sets_; }
   std::uint32_t associativity() const { return ways_; }
   std::uint64_t size_bytes() const { return sets_ * ways_ * kLineSize; }
 
-  /// Resident lines installed by prefetch and never demand-touched (cheap
-  /// pollution snapshot used by tests).
-  std::uint64_t untouched_prefetch_lines() const;
-
  private:
-  struct Way {
-    Addr tag = 0;
-    std::uint64_t last_used = 0;
-    FillOrigin origin = FillOrigin::Demand;
-    bool valid = false;
-    bool demand_touched = false;
-    bool dirty = false;
-  };
+  static constexpr Addr kEmptyTag = ~Addr{0};  // line_of() never yields it
+  // Flag byte: the FillOrigin in the low two bits, then the state bits.
+  static constexpr std::uint8_t kOriginMask = 0x3;
+  static constexpr std::uint8_t kTouched = 0x4;
+  static constexpr std::uint8_t kDirty = 0x8;
 
-  std::uint64_t set_of(Addr line) const { return line & (sets_ - 1); }
+  /// Index of the first way of `line`'s set in the arrays.
+  std::uint64_t set_base(Addr line) const {
+    return (line & (sets_ - 1)) * ways_;
+  }
+  /// Way of `line` in the set starting at `base`, or ways_ if absent.
+  std::uint32_t find(std::uint64_t base, Addr line) const;
 
   std::uint64_t sets_;
   std::uint32_t ways_;
   std::uint64_t tick_ = 0;
-  std::vector<Way> ways_storage_;  // sets_ * ways_, row-major by set
-
-  Way* set_begin(std::uint64_t set) { return &ways_storage_[set * ways_]; }
-  const Way* set_begin(std::uint64_t set) const {
-    return &ways_storage_[set * ways_];
-  }
+  // sets_ * ways_ entries each, row-major by set.
+  std::vector<Addr> tags_;
+  std::vector<std::uint64_t> stamps_;
+  std::vector<std::uint8_t> flags_;
 };
 
 }  // namespace re::sim

@@ -86,32 +86,6 @@ TEST(SetAssocCache, NonDemandAccessDoesNotMarkTouched) {
   EXPECT_FALSE(ev->demand_touched);
 }
 
-TEST(SetAssocCache, InvalidateRemovesLine) {
-  SetAssocCache cache(geom(4 << 10, 4));
-  cache.fill(5, FillOrigin::Demand);
-  cache.invalidate(5);
-  EXPECT_FALSE(cache.contains(5));
-  // Invalidating an absent line is a no-op.
-  EXPECT_NO_THROW(cache.invalidate(999));
-}
-
-TEST(SetAssocCache, FlushEmptiesEverything) {
-  SetAssocCache cache(geom(4 << 10, 4));
-  for (Addr line = 0; line < 32; ++line) cache.fill(line, FillOrigin::Demand);
-  cache.flush();
-  for (Addr line = 0; line < 32; ++line) EXPECT_FALSE(cache.contains(line));
-}
-
-TEST(SetAssocCache, UntouchedPrefetchLineCount) {
-  SetAssocCache cache(geom(4 << 10, 4));
-  cache.fill(1, FillOrigin::SwPrefetch);
-  cache.fill(2, FillOrigin::HwPrefetch);
-  cache.fill(3, FillOrigin::Demand);
-  EXPECT_EQ(cache.untouched_prefetch_lines(), 2u);
-  cache.access(1, /*demand=*/true);
-  EXPECT_EQ(cache.untouched_prefetch_lines(), 1u);
-}
-
 TEST(SetAssocCache, AccessRefreshesRecency) {
   SetAssocCache cache(geom(128, 2));  // 1 set, 2 ways
   cache.fill(0, FillOrigin::Demand);
@@ -130,39 +104,45 @@ class LruSweepTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(LruSweepTest, CyclicSweepBoundary) {
   const std::uint32_t ways = GetParam();
-  SetAssocCache cache(geom(static_cast<std::uint64_t>(ways) * kLineSize,
-                           ways));  // 1 set, `ways` lines
+  // 1 set, `ways` lines.
+  const CacheGeometry one_set = geom(std::uint64_t{ways} * kLineSize, ways);
+  SetAssocCache fitting(one_set);
 
   // Working set == capacity: all hits after the first pass.
-  for (Addr line = 0; line < ways; ++line) cache.fill(line, FillOrigin::Demand);
+  for (Addr line = 0; line < ways; ++line) {
+    fitting.fill(line, FillOrigin::Demand);
+  }
   for (int pass = 0; pass < 3; ++pass) {
     for (Addr line = 0; line < ways; ++line) {
-      EXPECT_TRUE(cache.access(line, true)) << "ways=" << ways;
+      EXPECT_TRUE(fitting.access(line, true)) << "ways=" << ways;
     }
   }
 
-  // Working set == capacity + 1: LRU thrashes, zero hits.
-  cache.flush();
+  // Working set == capacity + 1, from an empty cache: LRU thrashes, zero
+  // hits.
+  SetAssocCache thrashing(one_set);
   for (int pass = 0; pass < 3; ++pass) {
     for (Addr line = 0; line <= ways; ++line) {
-      if (!cache.access(line, true)) cache.fill(line, FillOrigin::Demand);
+      if (!thrashing.access(line, true)) {
+        thrashing.fill(line, FillOrigin::Demand);
+      }
     }
   }
   for (Addr line = 0; line <= ways; ++line) {
-    if (cache.access(line, true)) {
+    if (thrashing.access(line, true)) {
       // Only the most recently filled `ways` lines can be resident; the
       // cyclic order guarantees the next needed line was just evicted.
       continue;
     }
-    cache.fill(line, FillOrigin::Demand);
+    thrashing.fill(line, FillOrigin::Demand);
   }
   // Quantitative check: a full extra pass sees zero hits.
   int hits = 0;
   for (Addr line = 0; line <= ways; ++line) {
-    if (cache.access(line, true)) {
+    if (thrashing.access(line, true)) {
       ++hits;
     } else {
-      cache.fill(line, FillOrigin::Demand);
+      thrashing.fill(line, FillOrigin::Demand);
     }
   }
   EXPECT_EQ(hits, 0) << "ways=" << ways;
