@@ -133,9 +133,9 @@ StatStack::StatStack(const Profile& profile,
   // PCs keep their dense index across windowed solves and the grouping
   // buffers keep their capacity — steady-state windows allocate nothing.
   engine::ArtifactStore local;
-  engine::ArtifactStore& arena = store != nullptr ? *store : local;
-  arena.clear();
-  engine::PcInterner& table = arena.pc_table();
+  engine::ArtifactStore& scratch = store != nullptr ? *store : local;
+  scratch.clear();
+  engine::PcInterner& table = scratch.pc_table();
 
   for (const ReuseSample& s : profile.reuse_samples) {
     table.intern(s.second_pc);
@@ -147,9 +147,9 @@ StatStack::StatStack(const Profile& profile,
     (void)count;
     table.intern(pc);
   }
-  std::vector<engine::ArenaVector<RefCount>>& groups =
-      arena.reuse_groups(table.size());
-  std::vector<std::uint32_t>& touched = arena.touched_pcs();
+  std::vector<std::vector<RefCount>>& groups =
+      scratch.reuse_groups(table.size());
+  std::vector<std::uint32_t>& touched = scratch.touched_pcs();
 
   std::vector<RefCount> all;
   all.reserve(profile.reuse_samples.size());
@@ -180,29 +180,17 @@ StatStack::StatStack(const Profile& profile,
   std::vector<MissRatioCurve> curves(pcs_.size());
   const auto build = [&](std::size_t i) {
     const Pc pc = pcs_[i];
-    engine::ArenaVector<RefCount>& distances = groups[table.index_of(pc)];
+    std::vector<RefCount>& distances = groups[table.index_of(pc)];
     std::sort(distances.begin(), distances.end());
     double dangling = 0.0;
     auto it = profile.dangling_by_pc.find(pc);
     if (it != profile.dangling_by_pc.end()) {
       dangling = static_cast<double>(it->second);
     }
-    curves[i] = MissRatioCurve(
-        std::vector<RefCount>(distances.begin(), distances.end()), dangling,
-        solver_);
+    curves[i] = MissRatioCurve(distances, dangling, solver_);
   };
   if (executor != nullptr) {
-    // Annotate each unit with the group buffer it is about to sort: the
-    // dispatcher prefetches unit i+1's samples (T0 — the sort walks them
-    // repeatedly) while unit i runs.
-    const engine::HintFn hint = [&](std::size_t i) {
-      const engine::ArenaVector<RefCount>& distances =
-          groups[table.index_of(pcs_[i])];
-      return engine::ResourceHint{distances.data(),
-                                  distances.size() * sizeof(RefCount),
-                                  engine::PrefetchMode::kT0};
-    };
-    executor->for_each(pcs_.size(), build, nullptr, &hint);
+    executor->for_each(pcs_.size(), build);
   } else {
     for (std::size_t i = 0; i < pcs_.size(); ++i) build(i);
   }

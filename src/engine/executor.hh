@@ -7,17 +7,13 @@
 //   * every unit writes only its own slot — results are collected into a
 //     vector indexed by the unit's original position (ordered reduction;
 //     scheduling order never leaks into the output), and
-//   * the order in which idle workers *claim* units is a seeded
-//     pseudo-random permutation of [0, n) (seeded work-splitting): load
-//     balancing is reproducible run-to-run instead of depending on which
-//     thread won a race, and a perf anomaly reproduces from the seed.
+//   * the order in which idle workers *claim* units is a fixed
+//     pseudo-random permutation of [0, n): load balancing is reproducible
+//     run-to-run instead of depending on which thread won a race.
 //
-// Dispatch is delegated to a scheduler backend (engine/scheduler.hh):
-// kForkJoin shares one claim counter over the permutation; kSteal gives
-// each worker a bounded deque refilled in blocks, with seeded victim
-// selection and epoch-tagged exactly-once task claims. Both backends
-// honor the same contract, so the backend choice — like the seed — can
-// never affect artifact bytes.
+// A parallel fan-out is a fork-join: the calling thread and jobs-1 pool
+// threads share one claim counter over the permutation, and a worker
+// claims a unit only when it is ready to run it.
 //
 // jobs <= 1 runs inline on the calling thread with zero threading overhead
 // — the serial path is the parallel path with one worker, not a separate
@@ -30,94 +26,55 @@
 // reporting is deterministic too.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <exception>
+#include <cstddef>
 #include <functional>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "engine/cancel.hh"
-#include "engine/scheduler.hh"
 
 namespace re::engine {
 
-inline constexpr std::uint64_t kDefaultExecutorSeed = 0x9E3779B97F4A7C15ull;
+using TaskFn = std::function<void(std::size_t)>;
 
 class Executor {
  public:
-  /// `jobs` is clamped to at least 1. The seed drives work-splitting (and
-  /// steal-victim selection) only; neither it nor the backend can ever
-  /// affect artifact bytes.
-  explicit Executor(int jobs, std::uint64_t seed = kDefaultExecutorSeed,
-                    SchedulerBackend backend = SchedulerBackend::kForkJoin);
+  /// `jobs` is clamped to at least 1.
+  explicit Executor(int jobs);
 
   int jobs() const { return jobs_; }
-  std::uint64_t seed() const { return seed_; }
-  SchedulerBackend backend() const { return backend_; }
 
   /// Run fn(i) for every i in [0, n), spreading units over the workers.
   /// fn must only touch state owned by unit i (or immutable shared state).
   /// When `cancel` is armed, workers stop claiming units and Cancelled is
   /// thrown after the in-flight units drain — unless some unit also threw,
   /// in which case that error wins (it describes work that actually ran).
-  /// `hints`, when non-null, annotates each unit with the resource it will
-  /// touch; the dispatcher prefetches the next unit's resource before
-  /// running the current one (a perf action only — never artifacts).
   void for_each(std::size_t n, const TaskFn& fn,
-                const CancelToken* cancel = nullptr,
-                const HintFn* hints = nullptr) const;
+                const CancelToken* cancel = nullptr) const;
 
   /// Ordered map: returns {fn(0), fn(1), ..., fn(n-1)} — always in index
   /// order, regardless of which worker computed which unit. R need not be
   /// default-constructible: units emplace into optional slots that are
   /// unwrapped (moved out) on return.
   template <typename Fn>
-  auto map(std::size_t n, Fn&& fn, const CancelToken* cancel = nullptr,
-           const HintFn* hints = nullptr) const
+  auto map(std::size_t n, Fn&& fn, const CancelToken* cancel = nullptr) const
       -> std::vector<decltype(fn(std::size_t{}))> {
     using R = decltype(fn(std::size_t{}));
     std::vector<std::optional<R>> slots(n);
-    for_each(
-        n, [&](std::size_t i) { slots[i].emplace(fn(i)); }, cancel, hints);
+    for_each(n, [&](std::size_t i) { slots[i].emplace(fn(i)); }, cancel);
     std::vector<R> results;
     results.reserve(n);
     for (std::optional<R>& slot : slots) results.push_back(std::move(*slot));
     return results;
   }
 
-  /// True while the calling thread is one of this executor's workers
+  /// True while the calling thread is running units of a parallel fan-out
   /// (nested fan-outs run inline).
   static bool in_worker();
 
-  /// Dispatch counters accumulated across this executor's fan-outs (perf
-  /// observability only — steals and prefetches never affect artifacts).
-  std::uint64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t prefetch_hints() const {
-    return prefetch_hints_.load(std::memory_order_relaxed);
-  }
-  /// Epoch of this executor's most recent parallel fan-out (0 before any).
-  std::uint64_t last_epoch() const {
-    return last_epoch_.load(std::memory_order_relaxed);
-  }
-
  private:
   int jobs_ = 1;
-  std::uint64_t seed_ = 0;
-  SchedulerBackend backend_ = SchedulerBackend::kForkJoin;
-  // Counters mutate under const for_each; an Executor is shared by
-  // reference across the engine and is never copied.
-  mutable std::atomic<std::uint64_t> steals_{0};
-  mutable std::atomic<std::uint64_t> prefetch_hints_{0};
-  mutable std::atomic<std::uint64_t> last_epoch_{0};
 };
-
-/// One-line audit description of an executor's execution config:
-/// "jobs=4 seed=0x... scheduler=steal deque=64 numa=plain(1 node)".
-std::string describe_executor(const Executor& executor);
 
 }  // namespace re::engine

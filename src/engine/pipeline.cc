@@ -146,17 +146,6 @@ Stage<OptimizeArtifacts> stride_stage() {
         };
         std::vector<Outcome> outcomes(a.report.delinquent_loads.size());
 
-        // Each unit streams its load's stride samples exactly once —
-        // annotate with NTA so the prefetch does not evict the shared
-        // model state the other units are reading.
-        const HintFn hints = [&](std::size_t i) {
-          auto it = by_pc.find(a.report.delinquent_loads[i].pc);
-          if (it == by_pc.end()) return ResourceHint{};
-          return ResourceHint{it->second.data(),
-                              it->second.size() * sizeof(core::StrideSample),
-                              PrefetchMode::kNTA};
-        };
-
         ctx.for_each(a.report.delinquent_loads.size(), [&](std::size_t i) {
           const core::DelinquentLoad& load = a.report.delinquent_loads[i];
           Outcome& out = outcomes[i];
@@ -204,7 +193,7 @@ Stage<OptimizeArtifacts> stride_stage() {
           }
           out.selected = true;
           out.distance = *distance;
-        }, &hints);
+        });
 
         for (std::size_t i = 0; i < outcomes.size(); ++i) {
           Outcome& out = outcomes[i];

@@ -43,13 +43,10 @@ struct EngineContext {
 
   /// Fan out `n` independent units, or run them inline when no executor is
   /// bound. Units must only write state they own; reductions happen by
-  /// index afterwards. `hints` (optional) annotates each unit with the
-  /// resource it will touch so the dispatcher can prefetch ahead — a perf
-  /// action only; the contextless serial fallback ignores it.
-  void for_each(std::size_t n, const std::function<void(std::size_t)>& fn,
-                const HintFn* hints = nullptr) const {
+  /// index afterwards.
+  void for_each(std::size_t n, const TaskFn& fn) const {
     if (executor != nullptr) {
-      executor->for_each(n, fn, cancel, hints);
+      executor->for_each(n, fn, cancel);
     } else {
       for (std::size_t i = 0; i < n; ++i) {
         check_cancel();

@@ -9,27 +9,19 @@
 //   * an interned PC table — hot PCs recur window after window, so each
 //     gets a stable dense index assigned on first sight; grouping then
 //     indexes a flat vector instead of rehashing an unordered_map, and
-//   * histogram/grouping buffers backed by a NUMA-aware SlabArena
-//     (engine/arena.hh) — per-PC sample buffers whose capacity survives
-//     clear(), so steady-state windows allocate nothing, and whose pages
-//     are placed by the arena's policy (interleaved across nodes, or
-//     pinned to the worker that first touches them). A buffer that
-//     outgrows its capacity bump-allocates a larger one; the old bytes
-//     stay in the slab (growth is doubling, so the waste is bounded by
-//     the steady-state footprint).
+//   * per-PC sample buffers whose capacity survives clear(), so
+//     steady-state windows allocate nothing.
 //
 // A store is NOT thread-safe; it belongs to one solve at a time. Parallel
 // solves (e.g. the engine-stress test's 64 concurrent windows) use one
 // store per unit — the executor's ordered reduction keeps artifacts
-// deterministic either way, and a store first touched on its solving
-// worker gets node-local pages for free.
+// deterministic either way.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
-#include "engine/arena.hh"
 #include "support/types.hh"
 
 namespace re::engine {
@@ -64,18 +56,13 @@ class PcInterner {
 /// capacity (and the interner's learned PC table) for the next solve.
 class ArtifactStore {
  public:
-  explicit ArtifactStore(ArenaPlacement placement = ArenaPlacement::kAuto)
-      : arena_(placement) {}
-
   PcInterner& pc_table() { return pc_table_; }
   const PcInterner& pc_table() const { return pc_table_; }
 
   /// Per-dense-PC sample groups, grown on demand. Buffers come back empty
-  /// but with their previous capacity, living in the store's arena.
-  std::vector<ArenaVector<RefCount>>& reuse_groups(std::size_t pc_count) {
-    while (reuse_groups_.size() < pc_count) {
-      reuse_groups_.emplace_back(ArenaAllocator<RefCount>(&arena_));
-    }
+  /// but with their previous capacity.
+  std::vector<std::vector<RefCount>>& reuse_groups(std::size_t pc_count) {
+    if (reuse_groups_.size() < pc_count) reuse_groups_.resize(pc_count);
     return reuse_groups_;
   }
 
@@ -90,13 +77,9 @@ class ArtifactStore {
     touched_pcs_.clear();
   }
 
-  /// The arena backing the reuse-group buffers (placement/usage stats).
-  const SlabArena& arena() const { return arena_; }
-
  private:
   PcInterner pc_table_;
-  SlabArena arena_;
-  std::vector<ArenaVector<RefCount>> reuse_groups_;
+  std::vector<std::vector<RefCount>> reuse_groups_;
   std::vector<std::uint32_t> touched_pcs_;
 };
 

@@ -1,13 +1,15 @@
-// Deterministic-executor unit tests: ordered reduction, seeded
-// work-splitting that never leaks into results, inline nesting, and
-// deterministic exception propagation.
+// Deterministic-executor unit tests: ordered reduction at any worker
+// count, exactly-once dispatch, inline nesting, drain-style cancellation,
+// and deterministic exception propagation.
 #include "engine/executor.hh"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -42,13 +44,6 @@ TEST(Executor, MapReturnsResultsInIndexOrder) {
     const Executor executor(jobs);
     EXPECT_EQ(executor.map(100, unit), expected) << "jobs " << jobs;
   }
-}
-
-TEST(Executor, SeedNeverAffectsResults) {
-  const auto unit = [](std::size_t i) { return std::to_string(i * 3); };
-  const Executor a(4, /*seed=*/1);
-  const Executor b(4, /*seed=*/0xDEADBEEF);
-  EXPECT_EQ(a.map(64, unit), b.map(64, unit));
 }
 
 TEST(Executor, SerialRethrowsFirstExceptionInIndexOrder) {
@@ -120,6 +115,27 @@ TEST(Executor, NestedFanOutRunsInlineOnWorkers) {
     EXPECT_EQ(sums[i], expected);
   }
   EXPECT_GT(nested_on_worker.load(), 0);
+}
+
+TEST(Executor, PoolThreadsClaimAfterTheCallerRunsDry) {
+  // The calling thread runs its units instantly while the pool threads
+  // sleep inside theirs, so it leaves its claim loop first; the pool
+  // threads then claim again. The shared claim counter must still be alive
+  // for them (ASan reports stack-use-after-scope otherwise).
+  const std::thread::id caller = std::this_thread::get_id();
+  const Executor executor(4);
+  for (int round = 0; round < 4; ++round) {
+    std::vector<std::atomic<int>> visits(8);
+    executor.for_each(8, [&](std::size_t i) {
+      if (std::this_thread::get_id() != caller) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+      ++visits[i];
+    });
+    for (std::size_t i = 0; i < visits.size(); ++i) {
+      ASSERT_EQ(visits[i].load(), 1) << "unit " << i << " round " << round;
+    }
+  }
 }
 
 TEST(Executor, MapHandlesNonDefaultConstructibleResults) {

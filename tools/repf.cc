@@ -6,7 +6,7 @@
 //   repf list
 //   repf dump <benchmark>
 //   repf optimize <file|benchmark> [--machine amd|intel] [--no-nt]
-//                 [--stride-centric] [--jobs N] [--scheduler B] [--verbose]
+//                 [--stride-centric] [--jobs N] [--verbose]
 //   repf run <file|benchmark> [--machine amd|intel] [--hw] [--optimize]
 //                 [--jobs N] [--json FILE]
 //   repf coverage <file|benchmark> [--machine amd|intel]
@@ -29,9 +29,7 @@
 // Every command also understands --help. --jobs N fans independent units
 // (benchmarks, fuzzed traces, fault rates, per-PC curve builds, advisory
 // solves) out over the engine's deterministic executor; output is
-// byte-identical at any N. --scheduler forkjoin|steal picks the dispatch
-// backend (shared claim counter vs per-worker deques with work stealing) —
-// like --jobs, a perf knob that can never change output bytes.
+// byte-identical at any N.
 //
 // Exit codes (uniform across commands): 0 success; 1 operational failure
 // (bad file, I/O error, verify mismatch); 2 invalid usage; 3
@@ -134,9 +132,6 @@ struct Options {
   /// Engine worker count (--jobs). 1 = serial; any N yields byte-identical
   /// output (the executor's determinism contract).
   int jobs = 1;
-  /// Dispatch backend (--scheduler). Like --jobs, a perf knob only: both
-  /// backends honor the determinism contract bit-for-bit.
-  engine::SchedulerBackend scheduler = engine::SchedulerBackend::kForkJoin;
   /// Also write the command's report as JSON to this path (atomic write);
   /// `run`, `adapt`, `verify`, `chaos`, and `serve` honor it.
   std::string json_path;
@@ -236,8 +231,6 @@ const char* help_for(const std::string& command) {
            "                          instead of the MDDLI pipeline\n"
            "    --jobs N              engine workers for the pipeline\n"
            "                          (byte-identical output at any N)\n"
-           "    --scheduler B         dispatch backend: forkjoin or steal\n"
-           "                          (byte-identical output either way)\n"
            "    --verbose             also print the effective analysis\n"
            "                          knobs and the executor config\n"
            "                          (audit trail)\n";
@@ -251,7 +244,6 @@ const char* help_for(const std::string& command) {
            "                          before running\n"
            "    --jobs N              engine workers for the optimize step\n"
            "                          (byte-identical output at any N)\n"
-           "    --scheduler B         dispatch backend: forkjoin or steal\n"
            "    --json FILE           also write the metrics as JSON\n"
            "                          (atomic temp-file + rename)\n";
   }
@@ -283,7 +275,6 @@ const char* help_for(const std::string& command) {
            "    --load-cache FILE     warm-start from a saved plan cache\n"
            "    --jobs N              engine workers for the offline plan\n"
            "                          and per-window re-optimizations\n"
-           "    --scheduler B         dispatch backend: forkjoin or steal\n"
            "    --json FILE           also write the comparison as JSON\n"
            "                          (atomic temp-file + rename)\n"
            "    --verbose             also print the cached plan sets\n";
@@ -298,7 +289,6 @@ const char* help_for(const std::string& command) {
            "    --seed N              fault-injection seed\n"
            "    --jobs N              evaluate fault rates on N engine\n"
            "                          workers (byte-identical output)\n"
-           "    --scheduler B         dispatch backend: forkjoin or steal\n"
            "    --verbose             print the degradation logs\n";
   }
   if (command == "chaos") {
@@ -332,7 +322,6 @@ const char* help_for(const std::string& command) {
            "                          alien plan, a lost ack, or the daemon\n"
            "    --jobs N              replay fault rates on N engine\n"
            "                          workers (byte-identical output)\n"
-           "    --scheduler B         dispatch backend: forkjoin or steal\n"
            "    --json FILE           also write the gate results as JSON\n"
            "                          (atomic temp-file + rename)\n"
            "    --verbose             print the fault schedule and per-core\n"
@@ -367,7 +356,6 @@ const char* help_for(const std::string& command) {
            "                          fresh), never served\n"
            "    --jobs N              engine workers for the solve batches\n"
            "                          (byte-identical output at any N)\n"
-           "    --scheduler B         dispatch backend: forkjoin or steal\n"
            "    --json FILE           also write the metrics as JSON\n"
            "                          (atomic temp-file + rename)\n"
            "    --verbose             also print the per-shard breaker\n"
@@ -394,7 +382,6 @@ const char* help_for(const std::string& command) {
            "    --jobs N              fan traces and golden benchmarks out\n"
            "                          over N engine workers\n"
            "                          (byte-identical output at any N)\n"
-           "    --scheduler B         dispatch backend: forkjoin or steal\n"
            "    --json FILE           also write the results as JSON\n"
            "                          (atomic temp-file + rename)\n"
            "    --verbose             print the full per-trace reports\n";
@@ -427,19 +414,11 @@ const char* help_for(const std::string& command) {
            "    --jobs N              fan scenario cells and golden\n"
            "                          benchmarks out over N engine workers\n"
            "                          (byte-identical output at any N)\n"
-           "    --scheduler B         dispatch backend: forkjoin or steal\n"
            "    --json FILE           also write the results as JSON\n"
            "                          (atomic temp-file + rename)\n"
            "    --verbose             print the full per-scenario reports\n";
   }
   return nullptr;
-}
-
-/// The one place an Executor is built from CLI options: every command
-/// honors --jobs and --scheduler identically.
-engine::Executor make_executor(const Options& opts) {
-  return engine::Executor(opts.jobs, engine::kDefaultExecutorSeed,
-                          opts.scheduler);
 }
 
 /// Round-trippable rendering for JSON number output.
@@ -498,7 +477,7 @@ int cmd_optimize(const Options& opts) {
   engine::AnalysisKnobs knobs;
   knobs.enable_non_temporal = opts.enable_nt;
   const core::OptimizerOptions options = engine::make_optimizer_options(knobs);
-  const engine::Executor executor = make_executor(opts);
+  const engine::Executor executor(opts.jobs);
   engine::ArtifactStore store;
   const engine::EngineContext ctx{&executor, &store};
   const core::OptimizationReport report =
@@ -515,8 +494,7 @@ int cmd_optimize(const Options& opts) {
     }
     // Execution config: the analysis result never depends on it, the
     // wall-clock (and the audit trail) does.
-    std::printf("# executor: %s\n",
-                engine::describe_executor(executor).c_str());
+    std::printf("# executor: jobs=%d\n", executor.jobs());
   }
   std::printf("# %s pass on %s | Δ=%.2f cycles/memop | %zu plans\n",
               opts.stride_centric ? "stride-centric" : "MDDLI",
@@ -535,7 +513,7 @@ int cmd_run(const Options& opts) {
   if (opts.optimize) {
     engine::AnalysisKnobs knobs;
     knobs.enable_non_temporal = opts.enable_nt;
-    const engine::Executor executor = make_executor(opts);
+    const engine::Executor executor(opts.jobs);
     engine::ArtifactStore store;
     program = engine::run_optimize(program, opts.machine,
                                    engine::make_optimizer_options(knobs),
@@ -635,7 +613,7 @@ int cmd_adapt(const Options& opts) {
   // One executor for the whole command: the offline static plan and every
   // per-window re-optimization inside the controller fan out over it.
   // Declared before the controller so the pointer outlives every use.
-  const engine::Executor executor = make_executor(opts);
+  const engine::Executor executor(opts.jobs);
 
   runtime::AdaptiveOptions aopts;
   aopts.executor = &executor;
@@ -810,7 +788,7 @@ int cmd_faultcheck(const Options& opts) {
     bool ok = true;
     std::string log;
   };
-  const engine::Executor executor = make_executor(opts);
+  const engine::Executor executor(opts.jobs);
   const std::vector<RateResult> results =
       executor.map(rates.size(), [&](std::size_t i) {
         const double rate = rates[i];
@@ -971,7 +949,7 @@ int cmd_serve(const Options& opts) {
   }
   sopts.warm_start_dir = opts.warm_start_dir;
 
-  const engine::Executor executor = make_executor(opts);
+  const engine::Executor executor(opts.jobs);
   const std::vector<serve::Family> families =
       serve::make_families(traffic.hot_families, traffic.cold_families);
   const serve::AdvisoryService::Solver solver =
@@ -1092,7 +1070,7 @@ int cmd_chaos_serve(const Options& opts) {
   // Each fault rate is an independent double-run unit (the solver is the
   // cheap synthetic one; the service runs inline). Fan the rates out and
   // reduce in order so the table is byte-identical at any --jobs.
-  const engine::Executor executor = make_executor(opts);
+  const engine::Executor executor(opts.jobs);
   const std::vector<ServeRateResult> results =
       executor.map(rates.size(), [&](std::size_t i) {
         serve::ServiceOptions sopts;
@@ -1270,7 +1248,7 @@ int cmd_chaos(const Options& opts) {
     std::uint64_t worst_recovery_windows = 0;
     double vs_baseline = 0.0;
   };
-  const engine::Executor executor = make_executor(opts);
+  const engine::Executor executor(opts.jobs);
   const std::vector<ChaosRateResult> results =
       executor.map(rates.size(), [&](std::size_t i) {
         const double rate = rates[i];
@@ -1495,7 +1473,7 @@ int cmd_verify(const Options& opts) {
     bool ok = false;
     std::string report;
   };
-  const engine::Executor executor = make_executor(opts);
+  const engine::Executor executor(opts.jobs);
   const std::vector<UnitResult> unit_results =
       executor.map(units.size(), [&](std::size_t i) {
         const Unit& unit = units[i];
@@ -1631,7 +1609,7 @@ int cmd_corun(const Options& opts) {
     bool ok = false;
     std::string report;
   };
-  const engine::Executor executor = make_executor(opts);
+  const engine::Executor executor(opts.jobs);
   const std::vector<UnitResult> unit_results =
       executor.map(units.size(), [&](std::size_t i) {
         const Unit& unit = units[i];
@@ -1876,12 +1854,6 @@ int main(int argc, char** argv) {
         return kExitUsage;
       }
       opts.jobs = static_cast<int>(jobs);
-    } else if (arg == "--scheduler") {
-      if (++i >= argc) return usage();
-      if (!engine::parse_scheduler_backend(argv[i], &opts.scheduler)) {
-        std::fprintf(stderr, "--scheduler must be forkjoin or steal\n");
-        return kExitUsage;
-      }
     } else if (arg == "--json") {
       if (++i >= argc) return usage();
       opts.json_path = argv[i];
