@@ -17,9 +17,7 @@
 //   3. accuracy: composed-vs-exact victim error stays under the documented
 //      interference bound at every cell, and the streaming-vs-chase
 //      scenario's full differential stays inside its per-family bounds
-//      with the integer miss-attribution identity intact,
-//   4. determinism: the co-run graph's serialized plans and effective
-//      shares are byte-identical at 1 and 8 executor workers.
+//      with the integer miss-attribution identity intact.
 //
 // Exits non-zero on any violation — CI gate, same contract as
 // bench_chaos_recovery. Writes BENCH_corun.json.
@@ -27,15 +25,10 @@
 #include <string>
 #include <vector>
 
-#include "analysis/corun.hh"
 #include "bench_common.hh"
-#include "engine/executor.hh"
-#include "engine/pipeline.hh"
 #include "support/text_table.hh"
 #include "verify/differential.hh"
 #include "verify/trace_fuzzer.hh"
-#include "workloads/mix.hh"
-#include "workloads/program.hh"
 
 namespace {
 
@@ -55,30 +48,6 @@ void check(bool ok, const char* what) {
     std::printf("VIOLATION: %s\n", what);
     ++violations;
   }
-}
-
-/// Serialize everything the co-run graph decides for one scenario: the
-/// per-core optimization plans plus the composed effective shares. Two
-/// runs at different worker counts must produce identical bytes.
-std::string corun_decisions(const std::vector<workloads::Program>& programs,
-                            const sim::MachineConfig& machine, int jobs,
-                            std::uint64_t max_refs) {
-  analysis::CoRunArtifacts artifacts;
-  artifacts.programs = &programs;
-  artifacts.machine = &machine;
-  artifacts.max_refs_per_core = max_refs;
-  const engine::Executor executor(jobs);
-  engine::EngineContext ctx;
-  ctx.executor = &executor;
-  analysis::run_corun(artifacts, ctx);
-
-  std::string out;
-  for (std::size_t i = 0; i < artifacts.reports.size(); ++i) {
-    out += "core " + std::to_string(i) + " share " +
-           std::to_string(artifacts.effective_llc_lines[i]) + "\n";
-    out += engine::serialize_report(artifacts.reports[i]);
-  }
-  return out;
 }
 
 }  // namespace
@@ -162,30 +131,9 @@ int main() {
                 diff.attribution_exact ? "exact" : "BROKEN");
   }
 
-  // Gate 4: worker-count determinism of the full co-run graph.
-  std::vector<workloads::Program> programs;
-  for (int core = 0; core < core_counts.back(); ++core) {
-    const verify::TraceFamily family = core % 2 == 0
-                                           ? verify::TraceFamily::kPointerChase
-                                           : verify::TraceFamily::kStrided;
-    verify::FuzzedTrace fuzzed = verify::make_trace(family, kSeed, core);
-    workloads::rebase_program(fuzzed.program,
-                              workloads::core_address_offset(core));
-    programs.push_back(std::move(fuzzed.program));
-  }
-  const std::string serial =
-      corun_decisions(programs, machines.front(), 1, max_refs);
-  const std::string parallel =
-      corun_decisions(programs, machines.front(), 8, max_refs);
-  check(serial == parallel,
-        "co-run plans byte-identical at 1 and 8 executor workers");
-  std::printf("determinism: %zu plan bytes, jobs 1 vs 8 %s\n", serial.size(),
-              serial == parallel ? "identical" : "DIFFER");
-
   report.set("victim_degradation", headline_degradation);
   report.set("worst_composed_error", worst_error);
   report.set("differential_max_error", differential_error);
-  report.set("plan_bytes", static_cast<std::uint64_t>(serial.size()));
   report.set("violations", static_cast<std::uint64_t>(violations));
   report.write();
 

@@ -8,8 +8,9 @@
 // benchmark one profile replay, five simulated runs (the Baseline run also
 // gives Δ), and the three optimizes solved from that profile and that run.
 // The pass then re-solves each benchmark with engine::run_optimize, which
-// samples and simulates its own Baseline again, and serializes every
-// report into a per-pass fingerprint.
+// samples and simulates its own Baseline again; those solves fan out over
+// the benchmarks too, and every report is serialized, in suite order, into
+// a per-pass fingerprint.
 //
 // Gates (exit 1 on violation):
 //   * 0-diff: every worker count's fingerprint equals the serial one.
@@ -26,7 +27,6 @@
 #include "bench_common.hh"
 #include "engine/executor.hh"
 #include "engine/pipeline.hh"
-#include "engine/store.hh"
 #include "support/text_table.hh"
 
 namespace {
@@ -60,14 +60,13 @@ PassResult run_pass(int jobs, const std::vector<std::string>& names) {
       }
     }
     // The optimize artifacts themselves, via the engine's stable
-    // serialization (per-PC MRC construction fans out inside StatStack).
-    engine::ArtifactStore store;
-    for (const std::string& name : names) {
-      const workloads::Program program = workloads::make_benchmark(name);
-      fingerprint += engine::serialize_report(
-          engine::run_optimize(program, machine, {},
-                               engine::EngineContext{&executor, &store}));
-    }
+    // serialization: one solve per benchmark, joined in suite order.
+    const std::vector<std::string> reports =
+        executor.map(names.size(), [&](std::size_t i) {
+          return engine::serialize_report(engine::run_optimize(
+              workloads::make_benchmark(names[i]), machine, {}));
+        });
+    for (const std::string& report : reports) fingerprint += report;
   }
 
   const auto end = std::chrono::steady_clock::now();

@@ -241,14 +241,14 @@ std::uint64_t auto_sample_period(std::size_t trace_len) {
   return std::max<std::uint64_t>(1, trace_len / 16384);
 }
 
-engine::StageGraph<CoRunArtifacts> build_corun_graph() {
+engine::StageGraph<CoRunArtifacts> build_graph() {
   engine::StageGraph<CoRunArtifacts> graph;
 
   graph.add({"corun_trace", "programs, machine", "traces", {},
-             [](CoRunArtifacts& a, const engine::EngineContext& ctx) {
+             [](CoRunArtifacts& a, const engine::EngineContext&) {
                const std::size_t n = a.programs->size();
                a.traces.resize(n);
-               ctx.for_each(n, [&](std::size_t i) {
+               for (std::size_t i = 0; i < n; ++i) {
                  const bool hw_on = i < a.hw_prefetch_core.size()
                                         ? a.hw_prefetch_core[i] != 0
                                         : a.model_hw_prefetch;
@@ -261,14 +261,14 @@ engine::StageGraph<CoRunArtifacts> build_corun_graph() {
                    a.traces[i] = collect_core_trace((*a.programs)[i],
                                                     a.max_refs_per_core);
                  }
-               });
+               }
              }});
 
   graph.add({"corun_sample", "traces", "profiles", {},
-             [](CoRunArtifacts& a, const engine::EngineContext& ctx) {
+             [](CoRunArtifacts& a, const engine::EngineContext&) {
                const std::size_t n = a.traces.size();
                a.profiles.resize(n);
-               ctx.for_each(n, [&](std::size_t i) {
+               for (std::size_t i = 0; i < n; ++i) {
                  core::SamplerConfig config;
                  config.sample_period = auto_sample_period(a.traces[i].size());
                  config.seed = a.knobs.sample_seed + i;
@@ -277,17 +277,17 @@ engine::StageGraph<CoRunArtifacts> build_corun_graph() {
                    sampler.observe(access.pc, access.addr);
                  }
                  a.profiles[i] = sampler.finish();
-               });
+               }
              }});
 
   graph.add({"corun_statstack", "profiles", "models", {},
-             [](CoRunArtifacts& a, const engine::EngineContext& ctx) {
+             [](CoRunArtifacts& a, const engine::EngineContext&) {
                const std::size_t n = a.profiles.size();
                a.models.resize(n);
-               ctx.for_each(n, [&](std::size_t i) {
+               for (std::size_t i = 0; i < n; ++i) {
                  a.models[i] =
                      std::make_unique<core::StatStack>(a.profiles[i]);
-               });
+               }
              }});
 
   graph.add({"corun_compose", "profiles, models, machine",
@@ -315,19 +315,15 @@ engine::StageGraph<CoRunArtifacts> build_corun_graph() {
              [](CoRunArtifacts& a, const engine::EngineContext& ctx) {
                const std::size_t n = a.profiles.size();
                a.reports.resize(n);
-               ctx.for_each(n, [&](std::size_t i) {
+               for (std::size_t i = 0; i < n; ++i) {
                  engine::AnalysisKnobs knobs = a.knobs;
                  knobs.llc_effective_bytes =
                      a.effective_llc_lines[i] * kLineSize;
-                 // Nested solves run serially inside the per-core fan-out;
-                 // determinism comes from index-owned writes.
-                 engine::EngineContext inner;
-                 inner.cancel = ctx.cancel;
+                 // The nested solve shares the co-run solve's cancel token.
                  a.reports[i] = engine::run_optimize_with_profile(
                      (*a.programs)[i], demand_only_profile(a.profiles[i]),
-                     *a.machine, engine::make_optimizer_options(knobs),
-                     inner);
-               });
+                     *a.machine, engine::make_optimizer_options(knobs), ctx);
+               }
              }});
 
   return graph;
@@ -335,14 +331,10 @@ engine::StageGraph<CoRunArtifacts> build_corun_graph() {
 
 }  // namespace
 
-const engine::StageGraph<CoRunArtifacts>& corun_graph() {
-  static const engine::StageGraph<CoRunArtifacts> graph = build_corun_graph();
-  return graph;
-}
-
 void run_corun(CoRunArtifacts& artifacts, const engine::EngineContext& ctx) {
   assert(artifacts.programs != nullptr && artifacts.machine != nullptr);
-  corun_graph().run(artifacts, ctx);
+  static const engine::StageGraph<CoRunArtifacts> graph = build_graph();
+  graph.run(artifacts, ctx);
 }
 
 }  // namespace re::analysis

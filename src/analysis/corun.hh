@@ -138,8 +138,8 @@ core::Profile demand_only_profile(const core::Profile& augmented);
 
 /// Artifact set flowing through the co-run graph. Bound inputs are
 /// pointers/values set by the caller; everything else is produced by
-/// stages. All fan-out is per core with index-owned writes, so the whole
-/// graph is byte-identical at any Executor worker count.
+/// stages. Every stage loops over the cores serially; callers fan out
+/// whole co-run solves (scenario cells, machines) instead.
 struct CoRunArtifacts {
   // -- bound inputs
   const std::vector<workloads::Program>* programs = nullptr;
@@ -169,15 +169,13 @@ struct CoRunArtifacts {
   std::vector<core::OptimizationReport> reports;         // corun_mddli
 };
 
-/// The co-run pipeline: corun_trace → corun_sample → corun_statstack →
-/// corun_compose → corun_mddli. The last stage re-runs the full per-core
-/// optimization (MDDLI → stride/distance → bypass → insert) over the
-/// demand-only profile with knobs.llc_effective_bytes set to the composed
-/// effective share, so every downstream verdict prices LLC misses at the
-/// capacity the core actually gets.
-const engine::StageGraph<CoRunArtifacts>& corun_graph();
-
-/// Run the co-run graph over a fully bound artifact set.
+/// Run the co-run pipeline over a fully bound artifact set: corun_trace →
+/// corun_sample → corun_statstack → corun_compose → corun_mddli. The last
+/// stage re-runs the full per-core optimization (MDDLI → stride/distance →
+/// bypass → insert) over the demand-only profile with
+/// knobs.llc_effective_bytes set to the composed effective share, so every
+/// downstream verdict prices LLC misses at the capacity the core actually
+/// gets.
 void run_corun(CoRunArtifacts& artifacts,
                const engine::EngineContext& ctx = {});
 

@@ -79,10 +79,10 @@ const core::OptimizationReport& PlanCache::report(
     a.baseline = &baseline(machine, benchmark);
     a.report.benchmark = reference.name;
     if (policy == Policy::StrideCentric) {
-      engine::run_graph(engine::stride_centric_graph(), a, {});
+      engine::stride_centric_graph().run(a, {});
     } else {
       a.options.enable_non_temporal = (policy == Policy::SoftwareNT);
-      engine::run_graph(engine::optimize_graph(), a, {});
+      engine::optimize_graph().run(a, {});
     }
     return std::move(a.report);
   });

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-
-#include "engine/executor.hh"
-#include "engine/store.hh"
+#include <map>
 
 namespace re::core {
 
@@ -115,12 +113,7 @@ double MissRatioCurve::miss_ratio_lines(std::uint64_t cache_lines) const {
   return misses / samples_;
 }
 
-StatStack::StatStack(const Profile& profile)
-    : StatStack(profile, nullptr, nullptr) {}
-
-StatStack::StatStack(const Profile& profile,
-                     const engine::Executor* executor,
-                     engine::ArtifactStore* store) {
+StatStack::StatStack(const Profile& profile) {
   Histogram finite;
   for (const ReuseSample& s : profile.reuse_samples) {
     finite.add(s.distance);
@@ -129,35 +122,19 @@ StatStack::StatStack(const Profile& profile,
       finite, static_cast<double>(profile.dangling_reuse_samples));
 
   // Group reuse distances by the reusing (second) PC: each sample is an
-  // unbiased observation of one execution of that PC. With a store, hot
-  // PCs keep their dense index across windowed solves and the grouping
-  // buffers keep their capacity — steady-state windows allocate nothing.
-  engine::ArtifactStore local;
-  engine::ArtifactStore& scratch = store != nullptr ? *store : local;
-  scratch.clear();
-  engine::PcInterner& table = scratch.pc_table();
-
-  for (const ReuseSample& s : profile.reuse_samples) {
-    table.intern(s.second_pc);
-  }
-  // Dangling samples join the curve of their sampled PC (see
-  // Profile::dangling_by_pc); PCs with only dangling samples still get a
-  // curve (pure streaming with no observed reuse at all).
-  for (const auto& [pc, count] : profile.dangling_by_pc) {
-    (void)count;
-    table.intern(pc);
-  }
-  std::vector<std::vector<RefCount>>& groups =
-      scratch.reuse_groups(table.size());
-  std::vector<std::uint32_t>& touched = scratch.touched_pcs();
-
+  // unbiased observation of one execution of that PC. Dangling samples join
+  // the curve of their sampled PC (see Profile::dangling_by_pc); PCs with
+  // only dangling samples still get a curve (pure streaming with no
+  // observed reuse at all).
+  std::map<Pc, std::vector<RefCount>> groups;
   std::vector<RefCount> all;
   all.reserve(profile.reuse_samples.size());
   for (const ReuseSample& s : profile.reuse_samples) {
-    const std::uint32_t id = table.index_of(s.second_pc);
-    if (groups[id].empty()) touched.push_back(id);
-    groups[id].push_back(s.distance);
+    groups[s.second_pc].push_back(s.distance);
     all.push_back(s.distance);
+  }
+  for (const auto& entry : profile.dangling_by_pc) {
+    groups.try_emplace(entry.first);
   }
 
   std::sort(all.begin(), all.end());
@@ -165,39 +142,18 @@ StatStack::StatStack(const Profile& profile,
       std::move(all), static_cast<double>(profile.dangling_reuse_samples),
       solver_);
 
-  pcs_.reserve(touched.size() + profile.dangling_by_pc.size());
-  for (const std::uint32_t id : touched) pcs_.push_back(table.pc_of(id));
-  for (const auto& [pc, count] : profile.dangling_by_pc) {
-    (void)count;
-    if (groups[table.index_of(pc)].empty()) pcs_.push_back(pc);
-  }
-  std::sort(pcs_.begin(), pcs_.end());
-
-  // Per-PC curve construction is embarrassingly parallel: unit i owns
-  // exactly pcs_[i]'s group and curves[i], and the serial emplace below
-  // runs in sorted-PC order — the model is byte-identical at any worker
-  // count.
-  std::vector<MissRatioCurve> curves(pcs_.size());
-  const auto build = [&](std::size_t i) {
-    const Pc pc = pcs_[i];
-    std::vector<RefCount>& distances = groups[table.index_of(pc)];
+  pcs_.reserve(groups.size());
+  per_pc_.reserve(groups.size());
+  for (auto& [pc, distances] : groups) {
     std::sort(distances.begin(), distances.end());
     double dangling = 0.0;
     auto it = profile.dangling_by_pc.find(pc);
     if (it != profile.dangling_by_pc.end()) {
       dangling = static_cast<double>(it->second);
     }
-    curves[i] = MissRatioCurve(distances, dangling, solver_);
-  };
-  if (executor != nullptr) {
-    executor->for_each(pcs_.size(), build);
-  } else {
-    for (std::size_t i = 0; i < pcs_.size(); ++i) build(i);
-  }
-
-  per_pc_.reserve(pcs_.size());
-  for (std::size_t i = 0; i < pcs_.size(); ++i) {
-    per_pc_.emplace(pcs_[i], std::move(curves[i]));
+    pcs_.push_back(pc);
+    per_pc_.emplace(pc, MissRatioCurve(std::move(distances), dangling,
+                                       solver_));
   }
 }
 

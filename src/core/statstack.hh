@@ -26,11 +26,6 @@
 #include "support/histogram.hh"
 #include "support/types.hh"
 
-namespace re::engine {
-class Executor;
-class ArtifactStore;
-}  // namespace re::engine
-
 namespace re::core {
 
 /// Piecewise-linear expected-stack-distance function built from the sampled
@@ -96,14 +91,6 @@ class StatStack {
  public:
   explicit StatStack(const Profile& profile);
 
-  /// Engine-aware build: per-PC curve construction fans out over
-  /// `executor`'s workers (ordered reduction — the model is byte-identical
-  /// to the serial build at any worker count), and `store` supplies the
-  /// interned PC table plus reusable grouping buffers so repeated windowed
-  /// solves allocate nothing in steady state. Either argument may be null.
-  StatStack(const Profile& profile, const engine::Executor* executor,
-            engine::ArtifactStore* store);
-
   const StackDistanceSolver& solver() const { return *solver_; }
 
   /// Whole-application miss ratio curve (includes dangling samples).
@@ -112,7 +99,7 @@ class StatStack {
   /// Per-instruction curve; empty curve for PCs with no samples.
   const MissRatioCurve& pc_mrc(Pc pc) const;
 
-  /// PCs that have at least one reuse sample, ascending.
+  /// PCs that have at least one reuse or dangling sample, ascending.
   const std::vector<Pc>& sampled_pcs() const { return pcs_; }
 
   /// Estimated misses per PC for a given cache size: modeled miss ratio

@@ -23,7 +23,7 @@ core::ProfileValidator make_validator(const core::OptimizerOptions& options) {
   return core::ProfileValidator(vopts);
 }
 
-/// Index stride samples by PC once (read-only under the per-load fan-out).
+/// Index stride samples by PC once per stride stage.
 std::unordered_map<Pc, std::vector<core::StrideSample>> strides_by_pc(
     const core::Profile& profile) {
   std::unordered_map<Pc, std::vector<core::StrideSample>> by_pc;
@@ -97,9 +97,8 @@ Stage<OptimizeArtifacts> statstack_stage() {
       "report.profile",
       "model (per-PC MRCs), reuse_graph",
       [](const OptimizeArtifacts& a) { return a.profile_usable; },
-      [](OptimizeArtifacts& a, const EngineContext& ctx) {
-        a.model = std::make_unique<core::StatStack>(a.report.profile,
-                                                    ctx.executor, ctx.store);
+      [](OptimizeArtifacts& a, const EngineContext&) {
+        a.model = std::make_unique<core::StatStack>(a.report.profile);
         a.reuse_graph = std::make_unique<core::ReuseGraph>(a.report.profile);
       },
   };
@@ -127,56 +126,36 @@ Stage<OptimizeArtifacts> stride_stage() {
       "report.stride_infos, loads.{selected,distance_bytes}, "
       "report.degradation",
       [](const OptimizeArtifacts& a) { return a.profile_usable; },
-      [](OptimizeArtifacts& a, const EngineContext& ctx) {
+      [](OptimizeArtifacts& a, const EngineContext&) {
         const core::ProfileValidator validator = make_validator(a.options);
         const auto by_pc = strides_by_pc(a.report.profile);
+        core::DegradationLog& log = a.report.degradation;
 
-        // Per-load outcome, computed in parallel; each unit owns its slot.
-        // The serial merge below re-establishes delinquent-load order, so
-        // stride infos, degradation records and selections land exactly as
-        // the serial path would emit them.
-        struct Outcome {
-          bool has_info = false;
-          core::StrideInfo info;
-          bool has_record = false;
-          core::DegradationReason reason{};
-          std::string detail;
-          bool selected = false;
-          std::int64_t distance = 0;
-        };
-        std::vector<Outcome> outcomes(a.report.delinquent_loads.size());
-
-        ctx.for_each(a.report.delinquent_loads.size(), [&](std::size_t i) {
+        for (std::size_t i = 0; i < a.report.delinquent_loads.size(); ++i) {
           const core::DelinquentLoad& load = a.report.delinquent_loads[i];
-          Outcome& out = outcomes[i];
 
           const core::LoadVerdict numerics =
               validator.classify_model_numerics(
                   load.l1_miss_ratio, load.l2_miss_ratio, load.llc_miss_ratio,
                   load.avg_miss_latency, a.report.cycles_per_memop);
           if (numerics.confidence != core::LoadConfidence::kOk) {
-            out.has_record = true;
-            out.reason = numerics.reason;
-            out.detail = numerics.detail;
-            return;
+            log.record(load.pc, numerics.reason, numerics.detail);
+            continue;
           }
 
           auto it = by_pc.find(load.pc);
           if (it == by_pc.end()) {
-            out.has_record = true;
-            out.reason = core::DegradationReason::kNoStrideSamples;
-            return;
+            log.record(load.pc, core::DegradationReason::kNoStrideSamples);
+            continue;
           }
-          out.info = core::analyze_strides(load.pc, it->second,
-                                           a.options.stride);
-          out.has_info = true;
+          a.report.stride_infos.push_back(
+              core::analyze_strides(load.pc, it->second, a.options.stride));
+          const core::StrideInfo& info = a.report.stride_infos.back();
           const core::LoadVerdict stride_verdict =
-              validator.classify_stride_evidence(out.info, it->second.size());
+              validator.classify_stride_evidence(info, it->second.size());
           if (stride_verdict.confidence != core::LoadConfidence::kOk) {
-            out.has_record = true;
-            out.reason = stride_verdict.reason;
-            out.detail = stride_verdict.detail;
-            return;
+            log.record(load.pc, stride_verdict.reason, stride_verdict.detail);
+            continue;
           }
 
           core::PrefetchDistanceParams params;
@@ -184,28 +163,14 @@ Stage<OptimizeArtifacts> stride_stage() {
           params.cycles_per_memop = a.report.cycles_per_memop;
           params.loop_references = a.report.profile.executions_of(load.pc);
           const Expected<std::int64_t> distance =
-              core::prefetch_distance_checked(out.info, params);
+              core::prefetch_distance_checked(info, params);
           if (!distance) {
-            out.has_record = true;
-            out.reason = core::DegradationReason::kDistanceUnavailable;
-            out.detail = distance.status().to_string();
-            return;
+            log.record(load.pc, core::DegradationReason::kDistanceUnavailable,
+                       distance.status().to_string());
+            continue;
           }
-          out.selected = true;
-          out.distance = *distance;
-        });
-
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-          Outcome& out = outcomes[i];
-          if (out.has_info) {
-            a.report.stride_infos.push_back(std::move(out.info));
-          }
-          if (out.has_record) {
-            a.report.degradation.record(a.report.delinquent_loads[i].pc,
-                                        out.reason, std::move(out.detail));
-          }
-          a.loads[i].selected = out.selected;
-          a.loads[i].distance_bytes = out.distance;
+          a.loads[i].selected = true;
+          a.loads[i].distance_bytes = *distance;
         }
       },
   };
@@ -217,9 +182,9 @@ Stage<OptimizeArtifacts> bypass_stage() {
       "loads.selected, reuse_graph, model, options.{bypass,enable_nt}",
       "loads.hint",
       [](const OptimizeArtifacts& a) { return a.profile_usable; },
-      [](OptimizeArtifacts& a, const EngineContext& ctx) {
-        ctx.for_each(a.loads.size(), [&](std::size_t i) {
-          if (!a.loads[i].selected) return;
+      [](OptimizeArtifacts& a, const EngineContext&) {
+        for (std::size_t i = 0; i < a.loads.size(); ++i) {
+          if (!a.loads[i].selected) continue;
           const Pc pc = a.report.delinquent_loads[i].pc;
           a.loads[i].hint =
               a.options.enable_non_temporal &&
@@ -227,7 +192,7 @@ Stage<OptimizeArtifacts> bypass_stage() {
                                           *a.machine, a.options.bypass)
                   ? workloads::PrefetchHint::NTA
                   : workloads::PrefetchHint::T0;
-        });
+        }
       },
   };
 }
@@ -340,12 +305,6 @@ const StageGraph<OptimizeArtifacts>& estimator_graph() {
   return graph;
 }
 
-void run_graph(const StageGraph<OptimizeArtifacts>& graph,
-               OptimizeArtifacts& artifacts, const EngineContext& ctx) {
-  if (ctx.store != nullptr) ctx.store->clear();
-  graph.run(artifacts, ctx);
-}
-
 core::OptimizationReport run_optimize(const workloads::Program& program,
                                       const sim::MachineConfig& machine,
                                       const core::OptimizerOptions& options,
@@ -355,7 +314,7 @@ core::OptimizationReport run_optimize(const workloads::Program& program,
   a.machine = &machine;
   a.options = options;
   a.report.benchmark = program.name;
-  run_graph(optimize_graph(), a, ctx);
+  optimize_graph().run(a, ctx);
   return std::move(a.report);
 }
 
@@ -370,7 +329,7 @@ core::OptimizationReport run_optimize_with_profile(
   a.profile_bound = true;
   a.report.profile = std::move(profile);
   a.report.benchmark = program.name;
-  run_graph(optimize_graph(), a, ctx);
+  optimize_graph().run(a, ctx);
   return std::move(a.report);
 }
 
@@ -382,7 +341,7 @@ core::OptimizationReport run_stride_centric(
   a.machine = &machine;
   a.options = options;
   a.report.benchmark = program.name;
-  run_graph(stride_centric_graph(), a, ctx);
+  stride_centric_graph().run(a, ctx);
   return std::move(a.report);
 }
 

@@ -10,16 +10,16 @@
 //   validate  — profile sanitation (skip-not-guess; PR 1's gates)
 //   delta     — Δ resolution: assumed > measured > baseline-sim
 //   statstack — stack-distance solve + per-PC MRCs + reuse graph
-//               (fans out per-PC curve construction across workers)
 //   mddli     — delinquent-load identification (cost-benefit filter)
 //   stride    — per-load numerics gate, stride analysis, prefetch distance
-//               (fans out per delinquent load, ordered reduction)
 //   bypass    — non-temporal (cache bypass) decision per selected load
 //   insert    — plan assembly + prefetch insertion into the program
 //
-// Determinism contract: a graph's OptimizationReport is byte-identical at
-// any Executor worker count (golden plans are the oracle; see
-// serialize_report and DESIGN.md §11).
+// Every stage runs serially on the calling thread, so a graph's
+// OptimizationReport is a pure function of its bound inputs: callers that
+// fan whole solves out over the Executor get byte-identical reports at any
+// worker count (golden plans are the oracle; see serialize_report and
+// DESIGN.md §11).
 #pragma once
 
 #include <memory>
@@ -83,10 +83,6 @@ const StageGraph<OptimizeArtifacts>& stride_centric_graph();
 /// a bound profile (the exact-LRU side judges the same artifacts).
 const StageGraph<OptimizeArtifacts>& estimator_graph();
 
-/// Run `graph` over a fully bound artifact set.
-void run_graph(const StageGraph<OptimizeArtifacts>& graph,
-               OptimizeArtifacts& artifacts, const EngineContext& ctx);
-
 // -- convenience entry points (what the thin core:: wrappers call) --------
 
 core::OptimizationReport run_optimize(const workloads::Program& program,
@@ -104,8 +100,8 @@ core::OptimizationReport run_stride_centric(
     const core::OptimizerOptions& options, const EngineContext& ctx = {});
 
 /// Stable, complete text serialization of a report — the equality witness
-/// for the engine's determinism contract (property tests compare these
-/// byte-for-byte across worker counts).
+/// for the engine's determinism contract (tests compare these byte-for-byte
+/// across concurrent solves and between memoized and direct solves).
 std::string serialize_report(const core::OptimizationReport& report);
 
 }  // namespace re::engine

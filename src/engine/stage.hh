@@ -9,11 +9,11 @@
 // *configuration* — a selection of stages over the same artifact type —
 // instead of a re-plumbing.
 //
-// Stages run in declared order on the calling thread; parallelism lives
-// *inside* stages (fan-out over independent units via EngineContext's
-// Executor, with ordered reduction), never between them. That keeps the
-// determinism contract trivially checkable: a graph's output is a pure
-// function of its bound inputs, at any worker count.
+// A graph runs its stages in declared order on the calling thread, and
+// every stage is serial: a graph's output is a pure function of its bound
+// inputs. Parallelism lives one level up, where callers fan out whole
+// solves (benchmarks, fuzzed traces, fault rates, co-run cells, advisory
+// solves) over the engine Executor.
 #pragma once
 
 #include <functional>
@@ -21,38 +21,20 @@
 #include <utility>
 #include <vector>
 
-#include "engine/executor.hh"
-#include "engine/store.hh"
+#include "engine/cancel.hh"
 
 namespace re::engine {
 
-/// Shared execution resources threaded through every stage. All members
-/// are optional: null executor = serial, null store = fresh allocations,
-/// null cancel = the solve runs to completion.
+/// What a solve carries besides its artifacts: an optional cancellation
+/// token (null = the solve runs to completion).
 struct EngineContext {
-  const Executor* executor = nullptr;
-  ArtifactStore* store = nullptr;
-  /// Cooperative cancellation: checked before every stage and before every
-  /// fanned-out unit; an armed token unwinds the solve with Cancelled.
+  /// Cooperative cancellation: checked before every stage; an armed token
+  /// unwinds the solve with Cancelled.
   const CancelToken* cancel = nullptr;
 
   /// Throw Cancelled when the bound token (if any) has been requested.
   void check_cancel() const {
     if (cancel != nullptr && cancel->requested()) throw Cancelled();
-  }
-
-  /// Fan out `n` independent units, or run them inline when no executor is
-  /// bound. Units must only write state they own; reductions happen by
-  /// index afterwards.
-  void for_each(std::size_t n, const TaskFn& fn) const {
-    if (executor != nullptr) {
-      executor->for_each(n, fn, cancel);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        check_cancel();
-        fn(i);
-      }
-    }
   }
 };
 

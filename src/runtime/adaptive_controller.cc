@@ -136,9 +136,8 @@ void AdaptiveController::reoptimize(int phase) {
   // assumed Δ still outranks it (engine/delta.hh precedence), and with
   // neither set the engine falls back to the baseline simulation.
   options.measured_cycles_per_memop = delta_ewma_.value();
-  const engine::EngineContext ctx{opts_.executor, &store_};
   const core::OptimizationReport report = engine::run_optimize_with_profile(
-      *program_, phase_profiles_[phase], machine_, options, ctx);
+      *program_, phase_profiles_[phase], machine_, options);
 
   active_plans_ = report.plans;
   active_phase_ = phase;

@@ -100,17 +100,15 @@ std::vector<Family> make_families(int hot, int cold) {
 
 AdvisoryService::Solver make_engine_solver(const std::vector<Family>& families,
                                            const sim::MachineConfig& machine,
-                                           const engine::Executor* executor) {
+                                           const engine::Executor*) {
   // The solver runs inside Executor workers: it reads only the immutable
-  // family table and machine config, and nested engine fan-outs run inline
-  // on the worker (Executor's nested-dispatch rule).
-  return [&families, machine, executor](const PlanRequest& request,
-                                        const engine::CancelToken* cancel)
+  // family table and machine config.
+  return [&families, machine](const PlanRequest& request,
+                              const engine::CancelToken* cancel)
              -> std::vector<core::PrefetchPlan> {
     const std::size_t index =
         static_cast<std::size_t>(request.family) % families.size();
     engine::EngineContext ctx;
-    ctx.executor = executor;
     ctx.cancel = cancel;
     core::OptimizationReport report = engine::run_optimize(
         families[index].program, machine, core::OptimizerOptions{}, ctx);

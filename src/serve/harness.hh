@@ -51,10 +51,13 @@ struct Family {
 std::vector<Family> make_families(int hot, int cold);
 
 /// The real miss path: run the analysis engine's optimize graph over the
-/// family's program. Honours the cancel token via the EngineContext.
+/// family's program, serially on the calling thread. Honours the cancel
+/// token via the EngineContext. The executor parameter is unused (the
+/// service fans out due solves itself); it stays only because perfbench
+/// still passes one.
 AdvisoryService::Solver make_engine_solver(const std::vector<Family>& families,
                                            const sim::MachineConfig& machine,
-                                           const engine::Executor* executor);
+                                           const engine::Executor*);
 
 /// A cheap deterministic solver (one plan derived from the family id) for
 /// harnesses that stress the service/journal layers, not the engine. Still

@@ -141,7 +141,7 @@ DifferentialResult run_differential(const workloads::Program& program,
   artifacts.options.mddli = options.mddli;
   artifacts.profile_bound = true;
   artifacts.report.profile = sampler.finish();
-  engine::run_graph(engine::estimator_graph(), artifacts, {});
+  engine::estimator_graph().run(artifacts, {});
   const core::Profile& profile = artifacts.report.profile;
   const core::StatStack& model = *artifacts.model;
   const core::ReuseGraph& graph = *artifacts.reuse_graph;

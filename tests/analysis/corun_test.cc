@@ -1,7 +1,7 @@
 // Unit and property tests for the co-run composition: trace collection,
 // proportional-progress interleaving, CoRunModel's composed shared MRCs and
 // effective capacity shares, the demand-only profile strip, and the
-// determinism of the full co-run graph at any worker count.
+// plumbing of the full co-run graph.
 #include "analysis/corun.hh"
 
 #include <gtest/gtest.h>
@@ -14,8 +14,6 @@
 #include "core/sampler.hh"
 #include "core/statstack.hh"
 #include "core/trace_replay.hh"
-#include "engine/executor.hh"
-#include "engine/pipeline.hh"
 #include "sim/config.hh"
 #include "testutil.hh"
 #include "verify/trace_fuzzer.hh"
@@ -218,34 +216,6 @@ TEST(DemandOnlyProfile, StripsTheSentinelPc) {
   EXPECT_EQ(demand.pc_execution_counts.count(kHwPrefetchPc), 0u);
   EXPECT_EQ(demand.total_references, 80u);
   EXPECT_EQ(demand.sample_period, 4u);
-}
-
-TEST(CoRunGraph, ByteIdenticalAtAnyWorkerCount) {
-  std::vector<workloads::Program> programs;
-  programs.push_back(corun_program(0, verify::TraceFamily::kPointerChase));
-  programs.push_back(corun_program(1, verify::TraceFamily::kStrided));
-  programs.push_back(corun_program(2, verify::TraceFamily::kBlocked));
-
-  auto decisions = [&](int jobs) {
-    CoRunArtifacts artifacts;
-    artifacts.programs = &programs;
-    const sim::MachineConfig machine = sim::amd_phenom_ii();
-    artifacts.machine = &machine;
-    artifacts.max_refs_per_core = 1 << 13;
-    const engine::Executor executor(jobs);
-    engine::EngineContext ctx;
-    ctx.executor = &executor;
-    run_corun(artifacts, ctx);
-    std::string out;
-    for (std::size_t i = 0; i < artifacts.reports.size(); ++i) {
-      out += std::to_string(artifacts.effective_llc_lines[i]) + "\n";
-      out += engine::serialize_report(artifacts.reports[i]);
-    }
-    return out;
-  };
-  const std::string serial = decisions(1);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, decisions(8));
 }
 
 TEST(CoRunGraph, EffectiveShareFlowsIntoPlanKnobs) {

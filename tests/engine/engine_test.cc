@@ -1,8 +1,7 @@
-// Analysis-engine tests: the determinism property (any stage graph yields
-// byte-identical reports at any worker count), Δ precedence, the knob
-// builder, artifact-store reuse, and thread-safety stress for the shared
-// plan cache and concurrent windowed solves (run under RE_SANITIZE=thread
-// by the tsan lane in tools/check.sh).
+// Analysis-engine tests: the stage graphs' self-description, Δ precedence,
+// the knob builder, and thread-safety stress for the shared plan cache and
+// concurrent windowed solves (run under RE_SANITIZE=thread by the tsan lane
+// in tools/check.sh).
 #include "engine/pipeline.hh"
 
 #include <gtest/gtest.h>
@@ -14,89 +13,13 @@
 #include "analysis/experiments.hh"
 #include "core/pipeline.hh"
 #include "engine/delta.hh"
-#include "engine/executor.hh"
 #include "engine/options.hh"
-#include "engine/store.hh"
 #include "sim/system.hh"
 #include "testutil.hh"
 #include "workloads/suite.hh"
 
 namespace re::engine {
 namespace {
-
-// -- determinism property -------------------------------------------------
-
-/// Every graph entry point, serialized at `jobs` workers.
-std::string all_graphs_fingerprint(const workloads::Program& program,
-                                   const sim::MachineConfig& machine,
-                                   int jobs) {
-  const Executor executor(jobs);
-  ArtifactStore store;
-  const EngineContext ctx{&executor, &store};
-
-  std::string out;
-  out += serialize_report(run_optimize(program, machine, {}, ctx));
-  out += serialize_report(run_stride_centric(program, machine, {}, ctx));
-  const core::Profile profile =
-      core::profile_program(program, core::SamplerConfig{});
-  out += serialize_report(
-      run_optimize_with_profile(program, profile, machine, {}, ctx));
-  return out;
-}
-
-TEST(EngineDeterminism, ByteIdenticalReportsAtAnyWorkerCount) {
-  for (const std::string& name : workloads::suite_names()) {
-    const workloads::Program program = workloads::make_benchmark(name);
-    for (const sim::MachineConfig& machine :
-         {sim::amd_phenom_ii(), sim::intel_sandybridge()}) {
-      const std::string serial = all_graphs_fingerprint(program, machine, 1);
-      ASSERT_FALSE(serial.empty());
-      for (const int jobs : {2, 7, 16}) {
-        EXPECT_EQ(all_graphs_fingerprint(program, machine, jobs), serial)
-            << name << " on " << machine.name << " at jobs " << jobs;
-      }
-    }
-  }
-}
-
-TEST(EngineDeterminism, ContextlessRunMatchesSerialExecutor) {
-  // The default EngineContext (no executor, no store) is the same code path
-  // as a one-worker executor with a fresh store.
-  const workloads::Program program = workloads::make_benchmark("libquantum");
-  const sim::MachineConfig machine = sim::amd_phenom_ii();
-  const std::string contextless =
-      serialize_report(run_optimize(program, machine, {}));
-  EXPECT_EQ(contextless,
-            serialize_report(run_optimize(program, machine, {},
-                                          EngineContext{nullptr, nullptr})));
-  const Executor executor(1);
-  ArtifactStore store;
-  EXPECT_EQ(contextless,
-            serialize_report(run_optimize(program, machine, {},
-                                          EngineContext{&executor, &store})));
-}
-
-TEST(EngineDeterminism, ArtifactStoreReuseAcrossRunsIsInvisible) {
-  // A store warmed by other programs (stale interned PCs, used buffers) must
-  // never change results — only allocation behavior.
-  const sim::MachineConfig machine = sim::amd_phenom_ii();
-  const Executor executor(2);
-  ArtifactStore warm;
-  const EngineContext ctx{&executor, &warm};
-  std::vector<std::string> first_pass;
-  for (const std::string& name : workloads::suite_names()) {
-    first_pass.push_back(serialize_report(
-        run_optimize(workloads::make_benchmark(name), machine, {}, ctx)));
-  }
-  // Second pass through the now-warm store, in reverse order.
-  for (std::size_t i = workloads::suite_names().size(); i-- > 0;) {
-    const std::string& name = workloads::suite_names()[i];
-    EXPECT_EQ(serialize_report(run_optimize(workloads::make_benchmark(name),
-                                            machine, {}, ctx)),
-              first_pass[i])
-        << name;
-  }
-}
 
 // -- stage graph self-description -----------------------------------------
 
@@ -152,7 +75,7 @@ TEST(Delta, BoundBaselineRunReplacesTheBaselineSim) {
     a.options.measured_cycles_per_memop = measured;
     a.baseline = &baseline;
     a.report.benchmark = program.name;
-    run_graph(optimize_graph(), a, {});
+    optimize_graph().run(a, {});
     return a;
   };
   const OptimizeArtifacts bound = solve(0.0);
@@ -242,81 +165,29 @@ TEST(Knobs, DescribeListsEveryFieldOnce) {
   }
 }
 
-// -- artifact store --------------------------------------------------------
-
-TEST(ArtifactStore, InternerIsStableAndClearKeepsIds) {
-  ArtifactStore store;
-  const std::uint32_t a = store.pc_table().intern(100);
-  const std::uint32_t b = store.pc_table().intern(200);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(store.pc_table().intern(100), a);  // idempotent
-  EXPECT_EQ(store.pc_table().index_of(100), a);
-  EXPECT_EQ(store.pc_table().pc_of(a), 100u);
-
-  store.reuse_groups(store.pc_table().size())[a].push_back(7);
-  store.touched_pcs().push_back(a);
-  store.clear();
-  // clear() empties per-solve scratch but keeps interned ids and capacity.
-  EXPECT_TRUE(store.reuse_groups(store.pc_table().size())[a].empty());
-  EXPECT_EQ(store.pc_table().intern(200), b);
-}
-
-TEST(ArtifactStore, ClearKeepsGroupCapacity) {
-  ArtifactStore store;
-  auto& groups = store.reuse_groups(4);
-  ASSERT_EQ(groups.size(), 4u);
-  for (int round = 0; round < 3; ++round) {
-    for (std::size_t id = 0; id < groups.size(); ++id) {
-      store.touched_pcs().push_back(static_cast<std::uint32_t>(id));
-      for (int k = 0; k < 100; ++k) {
-        groups[id].push_back(static_cast<RefCount>(k));
-      }
-    }
-    store.clear();
-    for (const auto& g : store.reuse_groups(4)) {
-      EXPECT_TRUE(g.empty()) << "round " << round;
-      EXPECT_GE(g.capacity(), 100u) << "round " << round;
-    }
-  }
-}
-
-TEST(ArtifactStore, GrowingGroupCountKeepsEarlierBuffers) {
-  ArtifactStore store;
-  store.reuse_groups(2)[1].push_back(RefCount{42});
-  auto& groups = store.reuse_groups(6);
-  ASSERT_EQ(groups.size(), 6u);
-  ASSERT_EQ(groups[1].size(), 1u);
-  EXPECT_EQ(groups[1][0], RefCount{42});
-}
-
 // -- thread-safety stress (TSan lane) --------------------------------------
 
 TEST(EngineStress, ConcurrentWindowedSolvesAreIndependent) {
-  // 64 concurrent windowed solves: 16 threads x 4 solves, each with its own
-  // ArtifactStore (the sharing unit is the store, never the solve). All 16
-  // threads fan out on one shared executor, so concurrent fan-outs from
-  // different callers run under the same oracle. Under RE_SANITIZE=thread
-  // this is the data-race oracle for the whole engine path (sampling,
-  // StatStack store reuse, stride fan-out, insertion).
+  // 64 concurrent windowed solves: 16 threads x 4 solves with no shared
+  // context. Under RE_SANITIZE=thread this is the data-race oracle that
+  // concurrent solves share no mutable state anywhere on the engine path
+  // (the static stage graphs, sampling, StatStack, stride analysis,
+  // insertion).
   const sim::MachineConfig machine = sim::amd_phenom_ii();
-  const std::vector<std::string> names = workloads::suite_names();
   const workloads::Program program = workloads::make_benchmark("libquantum");
   const std::string expected =
       serialize_report(run_optimize(program, machine, {}));
 
   constexpr int kThreads = 16;
   constexpr int kSolvesPerThread = 4;
-  const Executor executor(2);
   std::vector<std::string> mismatches(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      ArtifactStore store;
-      const EngineContext ctx{&executor, &store};
       for (int s = 0; s < kSolvesPerThread; ++s) {
         const std::string got =
-            serialize_report(run_optimize(program, machine, {}, ctx));
+            serialize_report(run_optimize(program, machine, {}));
         if (got != expected) {
           mismatches[t] = "thread " + std::to_string(t) + " solve " +
                           std::to_string(s) + " diverged";

@@ -31,11 +31,11 @@
 #            runs compared byte-for-byte (the service determinism
 #            contract). Default build dir: build-asan.
 #   corun    run the shared-cache co-run lane under ASan+UBSan: `ctest -L
-#            corun`, a bench_corun smoke run (interference-prediction +
-#            determinism gates), then the full `repf corun` scenario
-#            matrix against the committed co-run goldens, run twice at
-#            --jobs 2 and compared byte-for-byte. `tools/check.sh corun
-#            --bless` re-blesses the co-run goldens instead. Default
+#            corun`, a bench_corun smoke run (interference-prediction,
+#            confirmation and accuracy gates), then the full `repf corun`
+#            scenario matrix against the committed co-run goldens, run
+#            twice at --jobs 2 and compared byte-for-byte. `tools/check.sh
+#            corun --bless` re-blesses the co-run goldens instead. Default
 #            build dir: build-asan.
 #   tsan     build under ThreadSanitizer (RE_SANITIZE=thread), run the
 #            unit, verify and engine test labels, then `repf verify
@@ -268,8 +268,8 @@ run_serve() {
 
 run_corun() {
   # The co-run path mixes a Fenwick-tree oracle, __int128 interleaving and
-  # a fanned-out composition graph — prime sanitizer territory — so the
-  # whole lane runs under ASan+UBSan.
+  # scenario cells fanned out over the executor — prime sanitizer
+  # territory — so the whole lane runs under ASan+UBSan.
   local bless=0
   if [[ "${1:-}" == "--bless" ]]; then
     bless=1
@@ -294,9 +294,9 @@ run_corun() {
   ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS" -L corun
 
   # bench_corun in smoke mode still enforces every gate (degradation
-  # predicted + confirmed, composed error bound, jobs determinism).
+  # predicted + confirmed, composed error bound).
   (cd "$build_dir/bench" && RE_BENCH_SMOKE=1 ./bench_corun) > /dev/null
-  echo "== bench_corun smoke: interference + determinism gates hold"
+  echo "== bench_corun smoke: interference gates hold"
 
   # The full scenario matrix against the committed co-run goldens on both
   # machines, run twice and compared byte-for-byte: same seed, same bytes.
@@ -319,11 +319,10 @@ run_corun() {
 }
 
 run_tsan() {
-  # The engine fans analysis out over a thread pool; this lane is the race
-  # detector for it. The engine label carries the dedicated stress tests —
-  # 64 concurrent windowed solves (16 threads fanning out on one shared
-  # executor) and plan-cache contention; unit and verify cover the
-  # refactored consumers.
+  # The engine fans whole solves out over a thread pool; this lane is the
+  # race detector for it. The engine label carries the dedicated stress
+  # tests — 64 concurrent windowed solves on 16 threads and plan-cache
+  # contention; unit and verify cover the refactored consumers.
   local build_dir="${1:-build-tsan}"
   cmake -B "$build_dir" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \

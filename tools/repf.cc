@@ -6,14 +6,14 @@
 //   repf list
 //   repf dump <benchmark>
 //   repf optimize <file|benchmark> [--machine amd|intel] [--no-nt]
-//                 [--stride-centric] [--jobs N] [--verbose]
+//                 [--stride-centric] [--verbose]
 //   repf run <file|benchmark> [--machine amd|intel] [--hw] [--optimize]
-//                 [--jobs N] [--json FILE]
+//                 [--json FILE]
 //   repf coverage <file|benchmark> [--machine amd|intel]
 //   repf phases <file|benchmark> [--window N] [--threshold X]
 //   repf adapt <file|benchmark> [--machine amd|intel] [--window N]
 //                 [--threshold X] [--save-cache FILE] [--load-cache FILE]
-//                 [--jobs N] [--verbose]
+//                 [--verbose]
 //   repf faultcheck <file|benchmark> [--machine amd|intel] [--rate PCT]
 //                 [--seed N] [--jobs N] [--verbose]
 //   repf adapt <file|benchmark> ... [--json FILE]
@@ -27,9 +27,8 @@
 //                 [--jobs N] [--json FILE] [--verbose]
 //
 // Every command also understands --help. --jobs N fans independent units
-// (benchmarks, fuzzed traces, fault rates, per-PC curve builds, advisory
-// solves) out over the engine's deterministic executor; output is
-// byte-identical at any N.
+// (benchmarks, fuzzed traces, fault rates, advisory solves) out over the
+// engine's deterministic executor; output is byte-identical at any N.
 //
 // Exit codes (uniform across commands): 0 success; 1 operational failure
 // (bad file, I/O error, verify mismatch); 2 invalid usage; 3
@@ -53,7 +52,6 @@
 #include "engine/executor.hh"
 #include "engine/options.hh"
 #include "engine/pipeline.hh"
-#include "engine/store.hh"
 #include "runtime/adaptive_controller.hh"
 #include "runtime/chaos.hh"
 #include "runtime/plan_cache.hh"
@@ -229,11 +227,8 @@ const char* help_for(const std::string& command) {
            "    --no-nt               disable non-temporal (bypass) hints\n"
            "    --stride-centric      use the stride-centric baseline pass\n"
            "                          instead of the MDDLI pipeline\n"
-           "    --jobs N              engine workers for the pipeline\n"
-           "                          (byte-identical output at any N)\n"
            "    --verbose             also print the effective analysis\n"
-           "                          knobs and the executor config\n"
-           "                          (audit trail)\n";
+           "                          knobs (audit trail)\n";
   }
   if (command == "run") {
     return "repf run <file|benchmark> [options]\n"
@@ -242,8 +237,6 @@ const char* help_for(const std::string& command) {
            "    --hw                  enable the hardware prefetcher\n"
            "    --optimize            software-prefetch via the pipeline\n"
            "                          before running\n"
-           "    --jobs N              engine workers for the optimize step\n"
-           "                          (byte-identical output at any N)\n"
            "    --json FILE           also write the metrics as JSON\n"
            "                          (atomic temp-file + rename)\n";
   }
@@ -273,8 +266,6 @@ const char* help_for(const std::string& command) {
            "                          (default 0.5)\n"
            "    --save-cache FILE     write the learned plan cache as JSON\n"
            "    --load-cache FILE     warm-start from a saved plan cache\n"
-           "    --jobs N              engine workers for the offline plan\n"
-           "                          and per-window re-optimizations\n"
            "    --json FILE           also write the comparison as JSON\n"
            "                          (atomic temp-file + rename)\n"
            "    --verbose             also print the cached plan sets\n";
@@ -477,13 +468,10 @@ int cmd_optimize(const Options& opts) {
   engine::AnalysisKnobs knobs;
   knobs.enable_non_temporal = opts.enable_nt;
   const core::OptimizerOptions options = engine::make_optimizer_options(knobs);
-  const engine::Executor executor(opts.jobs);
-  engine::ArtifactStore store;
-  const engine::EngineContext ctx{&executor, &store};
   const core::OptimizationReport report =
       opts.stride_centric
-          ? engine::run_stride_centric(program, opts.machine, options, ctx)
-          : engine::run_optimize(program, opts.machine, options, ctx);
+          ? engine::run_stride_centric(program, opts.machine, options)
+          : engine::run_optimize(program, opts.machine, options);
 
   if (opts.verbose) {
     std::printf("# effective analysis knobs:\n");
@@ -492,9 +480,6 @@ int cmd_optimize(const Options& opts) {
     while (std::getline(lines, line)) {
       std::printf("#   %s\n", line.c_str());
     }
-    // Execution config: the analysis result never depends on it, the
-    // wall-clock (and the audit trail) does.
-    std::printf("# executor: jobs=%d\n", executor.jobs());
   }
   std::printf("# %s pass on %s | Δ=%.2f cycles/memop | %zu plans\n",
               opts.stride_centric ? "stride-centric" : "MDDLI",
@@ -513,11 +498,8 @@ int cmd_run(const Options& opts) {
   if (opts.optimize) {
     engine::AnalysisKnobs knobs;
     knobs.enable_non_temporal = opts.enable_nt;
-    const engine::Executor executor(opts.jobs);
-    engine::ArtifactStore store;
     program = engine::run_optimize(program, opts.machine,
-                                   engine::make_optimizer_options(knobs),
-                                   engine::EngineContext{&executor, &store})
+                                   engine::make_optimizer_options(knobs))
                   .optimized;
   }
   const sim::RunResult run =
@@ -610,13 +592,7 @@ int cmd_coverage(const Options& opts) {
 int cmd_adapt(const Options& opts) {
   const workloads::Program program = load_target(opts.target);
 
-  // One executor for the whole command: the offline static plan and every
-  // per-window re-optimization inside the controller fan out over it.
-  // Declared before the controller so the pointer outlives every use.
-  const engine::Executor executor(opts.jobs);
-
   runtime::AdaptiveOptions aopts;
-  aopts.executor = &executor;
   aopts.window_refs = 1024;
   aopts.sampler = core::SamplerConfig{50, 42};
   aopts.phases.hysteresis_windows = 1;
@@ -651,10 +627,8 @@ int cmd_adapt(const Options& opts) {
   }
 
   const sim::RunResult base = sim::run_single(opts.machine, program, false);
-  engine::ArtifactStore store;
   const core::OptimizationReport merged =
-      engine::run_optimize(program, opts.machine, core::OptimizerOptions{},
-                           engine::EngineContext{&executor, &store});
+      engine::run_optimize(program, opts.machine, core::OptimizerOptions{});
   const sim::RunResult stat =
       sim::run_single(opts.machine, merged.optimized, false);
   const sim::RunResult adaptive =
